@@ -46,6 +46,7 @@ type System struct {
 	sumsClause []float64      // scratch for ComputeSumsReuse
 	sumsPair   [][]float64
 	sumsFlat   []float64
+	kl         klScratch // KarpLuby working state
 }
 
 // Reuse repoints s at a new clause system while keeping its internal

@@ -2,10 +2,24 @@ package dnf
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/probdata/pfcim/internal/bitset"
 	"github.com/probdata/pfcim/internal/poibin"
 )
+
+// klScratch is the Karp–Luby working state a System keeps across calls, so
+// the sampler tables, clause counts and escape masks are rebuilt in place
+// for every clause of every node.
+type klScratch struct {
+	cs     poibin.CondSampler
+	cum    []float64
+	counts []int
+	esc    []uint64 // per-tid escape words, see escapes
+	masks  []uint64 // per-position escape words of the current clause
+	want   []uint64 // escape words a scoring sample must cover
+	union  []uint64 // OR of the current clause's masks, then Covers scratch
+}
 
 // KarpLuby estimates Pr(C_1 ∪ … ∪ C_m) by coverage sampling (the
 // ApproxFCP sampler of the paper's Fig. 2): each sample draws a clause C_i
@@ -15,13 +29,21 @@ import (
 //
 // A world conditioned on C_i forces Base\B_i absent and draws the tids of
 // B_i from the Poisson-binomial law conditioned on "≥ MinSup present"
-// (poibin.CondSampler). Because every present tid then lies inside B_i,
-// clause C_j is satisfied by the sample exactly when the present set is a
-// subset of B_j, which keeps the per-sample check to m bitset subset tests.
+// (poibin.CondSampler). Every present tid then lies inside B_i, so C_i
+// holds and an earlier clause C_j holds exactly when no present tid
+// escapes B_j. The sample scores once every earlier clause of nonzero
+// probability has been escaped, which the walk detects as it goes and then
+// stops: the remaining draws are skipped by counter, so the uniform stream
+// — and with it the estimate and the generator's final state — is exactly
+// the one drawing every world in full would produce. Samples whose verdict
+// is known before any draw (clause 0, which no earlier clause can beat; a
+// clause some earlier clause contains; a zero-probability clause, which
+// never scores) skip their worlds wholesale.
 //
 // clauseProbs must be the exact Pr(C_i) values (e.g. Sums.Clause). The
 // estimator is unbiased; with nSamples = SampleSize(m, ε, δ) it is an
-// (ε, δ) additive approximation.
+// (ε, δ) additive approximation. Clauses must be subsets of Base (the
+// NewSystem invariant).
 func (s *System) KarpLuby(rng *poibin.SM64, clauseProbs []float64, nSamples int) (float64, error) {
 	m := len(s.Clauses)
 	if len(clauseProbs) != m {
@@ -41,33 +63,45 @@ func (s *System) KarpLuby(rng *poibin.SM64, clauseProbs []float64, nSamples int)
 	// Allocate each clause its multinomial share of the sample budget up
 	// front so that one conditional sampler per clause serves all of that
 	// clause's draws.
-	counts := multinomial(rng, nSamples, clauseProbs, z)
+	kl := &s.kl
+	counts := kl.multinomial(rng, nSamples, clauseProbs, z)
 
 	hits := 0
-	present := bitset.New(s.Base.Len())
-	words := present.DenseWords()
+	escapesBuilt := false
 	for i, ni := range counts {
 		if ni == 0 {
 			continue
 		}
-		bi := s.Clauses[i]
-		tids := bi.Indices()
-		probs := make([]float64, len(tids))
-		for t, tid := range tids {
-			probs[t] = s.Probs[tid]
-		}
-		cs, err := poibin.NewCondSampler(probs, s.MinSup)
-		if err != nil {
+		cs, probs := &kl.cs, s.probsOf(s.Clauses[i])
+		if err := cs.Reset(probs, s.MinSup); err != nil {
 			// Pr(C_i) > 0 guarantees the constraint is satisfiable; a
 			// failure here indicates an inconsistent clause system.
 			return 0, fmt.Errorf("dnf: clause %d: %w", i, err)
 		}
+		if clauseProbs[i] == 0 {
+			// Never the smallest satisfied clause of nonzero probability.
+			cs.Skip(rng, ni)
+			continue
+		}
+		want := kl.earlier(i, clauseProbs)
+		if want == nil {
+			// No earlier clause can be satisfied: every sample scores.
+			cs.Skip(rng, ni)
+			hits += ni
+			continue
+		}
+		if !escapesBuilt {
+			s.escapes(clauseProbs)
+			escapesBuilt = true
+		}
+		masks, union := s.clauseMasks(i, len(probs))
+		if !slices.Equal(union, want) {
+			// Some earlier clause contains B_i: no world escapes it.
+			cs.Skip(rng, ni)
+			continue
+		}
 		for k := 0; k < ni; k++ {
-			for w := range words {
-				words[w] = 0
-			}
-			cs.SampleWords(rng, tids, words)
-			if s.minSatisfied(present, clauseProbs) == i {
+			if cs.Covers(rng, masks, want, union) {
 				hits++
 			}
 		}
@@ -79,32 +113,105 @@ func (s *System) KarpLuby(rng *poibin.SM64, clauseProbs []float64, nSamples int)
 	return est, nil
 }
 
-// minSatisfied returns the smallest clause index whose event holds for the
-// sampled present-set, or -1 if none does (impossible for a correctly
-// conditioned sample, but handled defensively). Clauses with zero
-// probability can never be satisfied and are skipped.
-func (s *System) minSatisfied(present *bitset.Bitset, clauseProbs []float64) int {
+// escapeWords is the number of escape words per tid: one bit per clause.
+func (s *System) escapeWords() int { return (len(s.Clauses) + 63) / 64 }
+
+// escapes fills the per-tid escape table: bit j of tid t's words is set
+// iff Pr(C_j) > 0 and t ∈ Base\B_j, i.e. a world with t present escapes
+// C_j.
+func (s *System) escapes(clauseProbs []float64) {
+	ew := s.escapeWords()
+	esc := growWords(s.kl.esc, s.Base.Len()*ew)
+	for t := range esc {
+		esc[t] = 0
+	}
 	for j, bj := range s.Clauses {
 		if clauseProbs[j] == 0 {
 			continue
 		}
-		if bitset.IsSubset(present, bj) {
-			return j
+		word, bit := j/64, uint64(1)<<(j%64)
+		bitset.ForEachDiff(s.Base, bj, func(tid int) bool {
+			esc[tid*ew+word] |= bit
+			return true
+		})
+	}
+	s.kl.esc = esc
+}
+
+// clauseMasks gathers, for each of clause i's n positions (its tids in
+// ascending order), the escape bits of the clauses before i: w = ⌈i/64⌉
+// words per position. The returned union (w words) is their OR; once
+// checked, KarpLuby hands it to Covers as scratch.
+func (s *System) clauseMasks(i, n int) (masks, union []uint64) {
+	ew, w := s.escapeWords(), (i+63)/64
+	last := ^uint64(0)
+	if i%64 != 0 {
+		last = 1<<(i%64) - 1
+	}
+	masks = growWords(s.kl.masks, n*w)
+	union = growWords(s.kl.union, w)
+	for j := range union {
+		union[j] = 0
+	}
+	esc, p := s.kl.esc, 0
+	s.Clauses[i].ForEach(func(tid int) bool {
+		dst := masks[p*w : p*w+w]
+		copy(dst, esc[tid*ew:tid*ew+w])
+		dst[w-1] &= last
+		for j, b := range dst {
+			union[j] |= b
+		}
+		p++
+		return true
+	})
+	s.kl.masks, s.kl.union = masks, union
+	return masks, union
+}
+
+// earlier returns the bits of the clauses before i with nonzero
+// probability, ⌈i/64⌉ words in kl's scratch, or nil if there are none.
+func (kl *klScratch) earlier(i int, clauseProbs []float64) []uint64 {
+	want := growWords(kl.want, (i+63)/64)
+	kl.want = want
+	found := false
+	for j := range want {
+		want[j] = 0
+	}
+	for j, p := range clauseProbs[:i] {
+		if p != 0 {
+			want[j/64] |= 1 << (j % 64)
+			found = true
 		}
 	}
-	return -1
+	if !found {
+		return nil
+	}
+	return want
+}
+
+// growWords returns b resized to n, reallocating with doubling headroom.
+func growWords(b []uint64, n int) []uint64 {
+	if cap(b) < n {
+		return make([]uint64, n, max(n, 2*cap(b)))
+	}
+	return b[:n]
 }
 
 // multinomial splits n samples across clauses proportionally to
-// clauseProbs/z by drawing each sample's clause index independently.
-func multinomial(rng *poibin.SM64, n int, clauseProbs []float64, z float64) []int {
-	cum := make([]float64, len(clauseProbs))
+// clauseProbs/z by drawing each sample's clause index independently. The
+// returned counts live in kl's scratch.
+func (kl *klScratch) multinomial(rng *poibin.SM64, n int, clauseProbs []float64, z float64) []int {
+	m := len(clauseProbs)
+	if cap(kl.cum) < m {
+		kl.cum, kl.counts = make([]float64, m), make([]int, m)
+	}
+	cum, counts := kl.cum[:m], kl.counts[:m]
 	acc := 0.0
 	for i, p := range clauseProbs {
 		acc += p / z
 		cum[i] = acc
+		counts[i] = 0
 	}
-	counts := make([]int, len(clauseProbs))
 	for k := 0; k < n; k++ {
 		u := rng.Float64()
 		// Binary search over the cumulative weights.

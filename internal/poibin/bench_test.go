@@ -67,11 +67,14 @@ func BenchmarkCondSamplerDrawN500K150(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// No position carries a mask bit, so no draw can settle the verdict
+	// early: every Covers call walks all 500 positions, the worst case.
 	rng := NewSM64(2)
-	dst := make([]bool, 500)
+	masks := make([]uint64, 500)
+	want, acc := []uint64{1}, make([]uint64, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cs.Sample(rng, dst)
+		cs.Covers(rng, masks, want, acc)
 	}
 }

@@ -1,10 +1,35 @@
 package poibin
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// Sample fills dst (length n) with one conditioned draw, walking every
+// position: the materializing reference the distribution tests use. It
+// panics if dst has the wrong length.
+func (cs *CondSampler) Sample(rng *SM64, dst []bool) {
+	if len(dst) != cs.n {
+		panic(fmt.Sprintf("poibin: Sample dst length %d, want %d", len(dst), cs.n))
+	}
+	r := cs.k
+	for i := 0; i < cs.n; i++ {
+		if r == 0 {
+			// Constraint met; the rest is unconditioned.
+			dst[i] = rng.Float64() < cs.probs[i]
+			continue
+		}
+		// NaN flags the numerically impossible branch where the success
+		// path is forced and no draw is consumed.
+		pOne := cs.pone[r*cs.n+i]
+		dst[i] = pOne != pOne || rng.Float64() < pOne
+		if dst[i] {
+			r--
+		}
+	}
+}
 
 func TestCondSamplerUnsatisfiable(t *testing.T) {
 	if _, err := NewCondSampler([]float64{0.5, 0.5}, 3); err == nil {
@@ -152,5 +177,101 @@ func TestCondSamplerTightConstraint(t *testing.T) {
 				t.Fatalf("k=n sample has a zero at %d", i)
 			}
 		}
+	}
+}
+
+// randomCondInstance draws probabilities from a mix that includes certain,
+// impossible and underflowing (1e-170) tuples, so some tables carry forced
+// cells inside the walk's band.
+func randomCondInstance(rng *rand.Rand) ([]float64, int) {
+	n := rng.Intn(30) + 1
+	probs := make([]float64, n)
+	for i := range probs {
+		switch u := rng.Float64(); {
+		case u < 0.05:
+			probs[i] = 0
+		case u < 0.1:
+			probs[i] = 1
+		case u < 0.35:
+			probs[i] = 1e-170 * (1 + rng.Float64())
+		default:
+			probs[i] = rng.Float64()
+		}
+	}
+	return probs, rng.Intn(n + 1)
+}
+
+// TestCoversMatchesFullWalk checks the early-stopping walk against the
+// materializing one: same verdict, and the generator left in the same
+// state, including starts that put a Float64 retry inside the part of the
+// walk Covers skips. One sampler is Reset across all instances, so stale
+// table contents from a larger earlier instance would show.
+func TestCoversMatchesFullWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var cs CondSampler
+	forced := 0
+	for trial := 0; trial < 600; trial++ {
+		probs, k := randomCondInstance(rng)
+		if err := cs.Reset(probs, k); err != nil {
+			continue
+		}
+		ref, err := NewCondSampler(probs, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.forced {
+			forced++
+		}
+		n := len(probs)
+		w := rng.Intn(3) + 1
+		masks := make([]uint64, n*w)
+		union := make([]uint64, w)
+		for i := range masks {
+			if rng.Float64() < 0.3 {
+				masks[i] = 1 << uint(rng.Intn(64))
+				union[i%w] |= masks[i]
+			}
+		}
+		want := union
+		if rng.Float64() < 0.1 {
+			want = make([]uint64, w)
+		}
+		seed := rng.Uint64()
+		if trial%4 == 0 {
+			// A retry at a random draw of the walk.
+			seed = (retryCounters[rng.Intn(len(retryCounters))] - uint64(rng.Intn(n)+1)) * golden
+		}
+		full, fast := SM64{state: seed}, SM64{state: seed}
+		world := make([]bool, n)
+		ref.Sample(&full, world)
+		acc := make([]uint64, w)
+		for i, on := range world {
+			if on {
+				for j := 0; j < w; j++ {
+					acc[j] |= masks[i*w+j]
+				}
+			}
+		}
+		covered := true
+		for j := range want {
+			covered = covered && acc[j]&want[j] == want[j]
+		}
+		if hit := cs.Covers(&fast, masks, want, make([]uint64, w)); hit != covered {
+			t.Fatalf("trial %d: Covers = %v, full walk reaches %x of %x", trial, hit, acc, want)
+		}
+		if fast.state != full.state {
+			t.Fatalf("trial %d: Covers left the generator %d draws from the full walk's", trial, int64((fast.state-full.state)*goldenInv))
+		}
+		samples := rng.Intn(4)
+		for s := 0; s < samples; s++ {
+			ref.Sample(&full, world)
+		}
+		cs.Skip(&fast, samples)
+		if fast.state != full.state {
+			t.Fatalf("trial %d: Skip(%d) differs from %d full walks", trial, samples, samples)
+		}
+	}
+	if forced == 0 {
+		t.Error("no instance had a forced cell in the walk's band")
 	}
 }

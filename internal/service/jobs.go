@@ -156,6 +156,12 @@ type Manager struct {
 	shardRPC   *shard.Client // nil unless the daemon coordinates shard workers
 	watch      *watchSet     // per-(lineage, options) incremental miners for @latest jobs
 
+	// beforeMine, when non-nil, runs on the worker right before a job's
+	// mine, with the job's context: a test seam that holds a job in the
+	// running state for as long as a test needs. Set it before the first
+	// submission.
+	beforeMine func(ctx context.Context)
+
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
@@ -460,6 +466,9 @@ func (m *Manager) run(j *job) {
 	m.metrics.queueWait.Observe(queueWait)
 	m.log.Info("job started", "job", j.id, "trace", j.traceID, "kind", string(j.kind), "dataset", ds,
 		"queue_wait_ms", queueWait.Milliseconds(), "min_sup", opts.MinSup, "pfct", opts.PFCT)
+	if m.beforeMine != nil {
+		m.beforeMine(ctx)
+	}
 	res, sres, diff, err := m.mine(ctx, j)
 	if err != nil {
 		// Surface the structured shard failure the session installed as the

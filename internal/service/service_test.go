@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -484,10 +485,22 @@ func TestPanicIsolation(t *testing.T) {
 
 func TestDrainCancelsQueuedAndStopsIntake(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 4})
+	// Hold the first job in the running state until its context is
+	// canceled, so the drain below always finds one running job and one
+	// queued, however fast the miner is.
+	started := make(chan struct{})
+	var held atomic.Bool
+	s.Jobs().beforeMine = func(ctx context.Context) {
+		if held.CompareAndSwap(false, true) {
+			close(started)
+			<-ctx.Done()
+		}
+	}
 	hard := uploadDB(t, ts.URL, hardDB(t))
 	running := decode[JobInfo](t, postJSON(t, ts.URL+"/v1/jobs", jobRequest{
 		Dataset: hard.ID, Options: core.OptionsJSON{MinSup: 4, PFCT: 0.5},
 	}))
+	<-started
 	queued := decode[JobInfo](t, postJSON(t, ts.URL+"/v1/jobs", jobRequest{
 		Dataset: hard.ID, Options: core.OptionsJSON{MinSup: 5, PFCT: 0.5},
 	}))
