@@ -19,7 +19,6 @@
 //	-trace out.json          record phase spans: prints a phase/depth summary
 //	                         table and writes a Chrome trace-event file
 //	-parallel N              mine with N work-stealing workers
-//	-split-depth D           hand subtrees above depth D to idle workers
 //	-shards N                partition the tail arithmetic into N range shards
 //	-shard-workers a,b       evaluate shards on live workers over RPC; with
 //	                         -trace, their spans merge into the export
@@ -59,7 +58,6 @@ func main() {
 		maximal    = flag.Bool("maximal", false, "also print the maximal probabilistic frequent itemsets (top-down border)")
 		expSup     = flag.Float64("exp-sup", 0, "when > 0, also print itemsets with expected support ≥ this value (UF-growth)")
 		parallel   = flag.Int("parallel", 0, "number of work-stealing mining workers (0 = serial)")
-		splitDepth = flag.Int("split-depth", 0, "max enumeration depth at which subtrees are handed to idle workers (0 = default)")
 		jsonOut    = flag.Bool("json", false, "emit the result as JSON instead of text")
 		showStats  = flag.Bool("stats", false, "print pruning statistics")
 		traceOut   = flag.String("trace", "", "record phase spans and write a Chrome trace-event JSON file (view in chrome://tracing or Perfetto)")
@@ -100,7 +98,6 @@ func main() {
 		DisableSubset:   *noSub,
 		DisableBounds:   *noBound,
 		Parallelism:     *parallel,
-		SplitDepth:      *splitDepth,
 	}
 	if *traceOut != "" {
 		opts.Tracer = pfcim.NewTracer()

@@ -75,7 +75,6 @@ func run() int {
 		queueDepth    = flag.Int("queue-depth", 64, "maximum queued jobs before submissions are shed with 429")
 		cacheSize     = flag.Int("cache-size", 128, "result cache entries (-1 disables caching)")
 		maxJobTime    = flag.Duration("max-job-time", 0, "per-job wall-time cap (0 = unlimited)")
-		tailMemo      = flag.Int("tail-memo-entries", 0, "default Options.TailMemoEntries for jobs that leave it unset (0 = library default, negative disables)")
 		maxUpload     = flag.Int64("max-upload-bytes", 256<<20, "dataset upload size limit")
 		allowPathLoad = flag.Bool("allow-path-load", false, "allow clients to register datasets from server-local paths (trusted setups only)")
 		preload       = flag.String("preload", "", "comma-separated dataset files to register at startup")
@@ -126,7 +125,6 @@ func run() int {
 		QueueDepth:          *queueDepth,
 		CacheSize:           *cacheSize,
 		MaxJobTime:          *maxJobTime,
-		TailMemoEntries:     *tailMemo,
 		MaxUploadBytes:      *maxUpload,
 		AllowPathLoad:       *allowPathLoad,
 		SlowJobThreshold:    *slowJob,

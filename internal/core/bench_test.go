@@ -41,15 +41,6 @@ func BenchmarkCheckingAlwaysSample(b *testing.B) {
 	benchMine(b, func(o *Options) { o.MaxExactClauses = -1 })
 }
 
-// Pairwise-bound cap ablation.
-func BenchmarkPairClausesCap4(b *testing.B) {
-	benchMine(b, func(o *Options) { o.MaxPairClauses = 4; o.MaxExactClauses = -1 })
-}
-
-func BenchmarkPairClausesCap16(b *testing.B) {
-	benchMine(b, func(o *Options) { o.MaxPairClauses = 16; o.MaxExactClauses = -1 })
-}
-
 // Parallel first-level mining.
 func BenchmarkParallelism1(b *testing.B) {
 	benchMine(b, func(o *Options) { o.Parallelism = 1 })

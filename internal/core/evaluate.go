@@ -447,15 +447,20 @@ func (m *miner) clauseSystemOwned(tids *bitset.Bitset, clauses []clause) (*dnf.S
 	return sys, probs, nil
 }
 
+// maxPairClauses caps how many clauses (the most probable ones) take part
+// in the pairwise de Caen / Kwerel bound computation; the bounds remain
+// sound for the full clause set.
+const maxPairClauses = 16
+
 // pairwiseBounds computes the de Caen / Kwerel sandwich of Lemma 4.4 over
-// the top MaxPairClauses clauses (sorted by descending probability) and
+// the top maxPairClauses clauses (sorted by descending probability) and
 // extends it soundly to the full clause set: the partial de Caen bound is a
 // valid lower bound on the full union, and the remaining clauses join the
 // upper bound additively.
 func (m *miner) pairwiseBounds(sys *dnf.System, probs []float64, slack float64) (lo, hi float64) {
 	k := len(probs)
-	if k > m.opts.MaxPairClauses {
-		k = m.opts.MaxPairClauses
+	if k > maxPairClauses {
+		k = maxPairClauses
 	}
 	// The top-k prefix view lives in a second reusable System so its
 	// intersection and probability scratch persists across evaluations.

@@ -18,7 +18,7 @@ func FuzzOptionsJSON(f *testing.F) {
 	f.Add([]byte(`{"min_sup": 2, "pfct": 0.8}`))
 	f.Add([]byte(`{"min_sup": 1, "pfct": 0.5, "search": "BFS", "seed": 42}`))
 	f.Add([]byte(`{"min_sup": 3, "pfct": 0.1, "epsilon": 0.05, "delta": 0.01, "max_exact_clauses": -1}`))
-	f.Add([]byte(`{"min_sup": 2, "pfct": 0.8, "parallelism": 8, "split_depth": 2, "tail_memo_entries": -1}`))
+	f.Add([]byte(`{"min_sup": 2, "pfct": 0.8, "parallelism": 8}`))
 	f.Add([]byte(`{"pfct": 1e308, "min_sup": -5, "search": "dfs"}`))
 	f.Add([]byte(`{"search": "sideways"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -95,10 +95,12 @@ type tailEntry struct {
 	prF  float64
 }
 
-// defaultTailMemoEntries bounds the tail memo's footprint per miner when
-// Options.TailMemoEntries is zero; beyond the cap, tails are still served
-// from the memo but no longer added.
-const defaultTailMemoEntries = 1 << 16
+// maxTailMemoEntries bounds the tail memo's footprint per miner (each
+// entry holds a cloned tidset plus a float, ≈ N/8 + 24 bytes at N
+// transactions; parallel runs keep one memo per worker). Beyond the cap,
+// tails are still served from the memo but no longer added. Served values
+// are bit-identical to recomputation, so the cap never changes results.
+const maxTailMemoEntries = 1 << 16
 
 // tailOf returns Pr_F of the itemset with tidset b — the Poisson-binomial
 // tail Pr[support ≥ MinSup] over b's tuple probabilities — consulting the
@@ -111,10 +113,6 @@ const defaultTailMemoEntries = 1 << 16
 // sharded runs compute by the same sharded fold, so memo state never
 // changes results.
 func (m *miner) tailOf(b *bitset.Bitset, probs []float64, x itemset.Itemset, e itemset.Item) float64 {
-	if m.opts.TailMemoEntries < 0 {
-		m.stats.TailEvaluations++
-		return m.tailCompute(b, probs, x, e)
-	}
 	h := b.Hash()
 	for _, en := range m.tailMemo[h] {
 		if bitset.Equal(en.tids, b) {
@@ -124,7 +122,7 @@ func (m *miner) tailOf(b *bitset.Bitset, probs []float64, x itemset.Itemset, e i
 	}
 	m.stats.TailEvaluations++
 	prF := m.tailCompute(b, probs, x, e)
-	if m.opts.TailMemoEntries > 0 && m.tailMemoSize < m.opts.TailMemoEntries {
+	if m.tailMemoSize < maxTailMemoEntries {
 		if m.tailMemo == nil {
 			m.tailMemo = make(map[uint64][]tailEntry)
 		}
@@ -137,7 +135,7 @@ func (m *miner) tailOf(b *bitset.Bitset, probs []float64, x itemset.Itemset, e i
 }
 
 // tailCompute is the memo-miss tail computation: the sharded fold when
-// Shards ≥ 2, the selected single-vector kernel otherwise.
+// Shards ≥ 2, poibin's automatic kernel dispatch otherwise.
 func (m *miner) tailCompute(b *bitset.Bitset, probs []float64, x itemset.Itemset, e itemset.Item) float64 {
 	if m.sharded() {
 		return m.shardTail(b, probs, x, e)
@@ -145,7 +143,7 @@ func (m *miner) tailCompute(b *bitset.Bitset, probs []float64, x itemset.Itemset
 	if probs == nil {
 		probs = m.probsOf(b)
 	}
-	return m.tail.TailKernel(probs, m.opts.MinSup, m.opts.TailKernel)
+	return m.tail.Tail(probs, m.opts.MinSup)
 }
 
 // tailForDNF is the tail evaluator injected into clause systems
@@ -158,12 +156,10 @@ func (m *miner) tailCompute(b *bitset.Bitset, probs []float64, x itemset.Itemset
 // contents, and every downstream hit/miss pattern stay byte-identical to
 // dnf calling poibin.Tail directly.
 func (m *miner) tailForDNF(b *bitset.Bitset, probs []float64) float64 {
-	if m.opts.TailMemoEntries >= 0 {
-		h := b.Hash()
-		for _, e := range m.tailMemo[h] {
-			if bitset.Equal(e.tids, b) {
-				return e.prF
-			}
+	h := b.Hash()
+	for _, e := range m.tailMemo[h] {
+		if bitset.Equal(e.tids, b) {
+			return e.prF
 		}
 	}
 	if m.sharded() {
@@ -172,7 +168,7 @@ func (m *miner) tailForDNF(b *bitset.Bitset, probs []float64) float64 {
 		// shard so every tail in the run comes from the same arithmetic.
 		return m.shardTailLocal(b, probs)
 	}
-	return m.tail.TailKernel(probs, m.opts.MinSup, m.opts.TailKernel)
+	return m.tail.Tail(probs, m.opts.MinSup)
 }
 
 // dnfTailFn returns the miner's bound tailForDNF, creating the method

@@ -10,7 +10,6 @@ import (
 
 	"github.com/probdata/pfcim/internal/itemset"
 	"github.com/probdata/pfcim/internal/obs"
-	"github.com/probdata/pfcim/internal/poibin"
 )
 
 // Search selects the enumeration framework (Table VII's last column).
@@ -59,11 +58,12 @@ func (t TidsetMode) String() string {
 // ShardKernel abstracts where per-shard tail PMFs and clause factors are
 // computed when Options.Shards ≥ 2. The miner asks the kernel for all N
 // per-shard quantities of one logical evaluation at once; the kernel returns
-// them in shard order. Implementations (shard.LocalKernel in-process,
-// shard.Client sessions over RPC) must compute the canonical per-shard
-// arithmetic — poibin.PMFTrunc over the shard's probability slice, and the
-// ascending-tid clause-absence partial product with the shard.NegligibleEps
-// early exit — so that delegating never changes results. x is the base
+// them in shard order. The implementation is the shard.Client session,
+// which runs the computation on shard workers over RPC; it must compute the
+// canonical per-shard arithmetic — poibin.PMFTrunc over the shard's
+// probability slice, and the ascending-tid clause-absence partial product
+// with the shard.NegligibleEps early exit — so that delegating never
+// changes results. x is the base
 // itemset and e an extension item: the target itemset is x plus e when
 // e ≥ 0, x alone when e < 0 (x may be nil only with e ≥ 0, meaning the
 // single-item set {e}). Returning ok = false declines the call; the miner
@@ -114,11 +114,6 @@ type Options struct {
 	// tidset, so exact checking wins only for small clause systems.
 	MaxExactClauses int
 
-	// MaxPairClauses caps how many clauses (the most probable ones)
-	// participate in the pairwise de Caen/Kwerel bound computation; the
-	// bounds remain sound for the full clause set. 0 means default (16).
-	MaxPairClauses int
-
 	// Parallelism is the number of worker goroutines of the work-stealing
 	// scheduler that distributes enumeration subtrees (DFS framework only;
 	// BFS ignores it). 0 or 1 runs serially. Results and all
@@ -127,41 +122,15 @@ type Options struct {
 	// node's itemset), never from scheduling order.
 	Parallelism int
 
-	// SplitDepth bounds how deep in the enumeration tree a node may still
-	// hand children to idle workers: a child is spawned as a task only when
-	// its parent has fewer than SplitDepth items and some worker is
-	// starving. Deeper nodes always recurse inline, so the common case pays
-	// no synchronization. 0 means default (4); negative is an error. Only
-	// consulted when Parallelism > 1.
-	SplitDepth int
-
-	// TailMemoEntries bounds the per-miner Poisson-binomial tail memo (each
-	// entry holds a cloned tidset plus a float, ≈ N/8 + 24 bytes at N
-	// transactions; parallel runs keep one memo per worker). 0 means the
-	// default (65536); negative disables memoization entirely. The memo
-	// trades memory for time — dense data reuses most tails (Fig. 5
-	// Mushroom serves ~57 % of lookups from it), so shrinking the cap slows
-	// mining but caps resident memory, which is what a memory-constrained
-	// daemon worker running many concurrent jobs wants. Values served from
-	// the memo are bit-identical to recomputation, so this knob never
-	// changes results — it is excluded from CanonicalKey.
-	TailMemoEntries int
-
 	// Tidsets forces the tidset representation of the run: dense words,
 	// compressed sorted-id lists, or (default) the density-driven choice
 	// the index already made. Every bitset operation is representation-
 	// independent by contract, so results are byte-identical across modes —
-	// this is a pure execution knob (cleared by Canonical), kept for the
-	// crosscheck representation-equivalence suite and memory experiments.
+	// this is a pure execution knob (cleared by Canonical). It stays because
+	// small databases never cross the density threshold for compressed
+	// tidsets, so forcing the mode is the only way the crosscheck
+	// representation-equivalence suite mines over them.
 	Tidsets TidsetMode
-
-	// TailKernel selects the Poisson-binomial tail algorithm. KernelAuto
-	// (default) runs the O(nk) DP below poibin.ConvCrossoverN probabilities
-	// and the divide-and-conquer convolution tree above it. Forcing
-	// KernelConv on inputs above the leaf size changes results within
-	// numerical tolerance (the merge order differs from the DP), so unlike
-	// Tidsets this knob participates in CanonicalKey.
-	TailKernel poibin.Kernel
 
 	// Shards partitions the transaction space into that many contiguous
 	// ranges (shard.Layout) and evaluates every Poisson-binomial tail as
@@ -170,24 +139,22 @@ type Options struct {
 	// shard order — the arithmetic the distributed coordinator/worker mode
 	// runs over RPC, available in-process so tests and benches need no
 	// cluster. 0 or 1 is the unsharded single-node path (bit-for-bit
-	// untouched). Values ≥ 2 regroup the IEEE sums exactly like forcing the
-	// convolution tail kernel does, so results agree with unsharded mining
-	// within numerical tolerance but are not bitwise equal; like TailKernel,
-	// Shards is therefore result-affecting and participates in CanonicalKey
-	// (the canonical key's shard-layout field). For any fixed N ≥ 2, results
-	// are byte-identical across the inline path, a shard.LocalKernel, and
-	// the distributed HTTP path — the equivalence the crosscheck shard suite
-	// pins.
+	// untouched). Values ≥ 2 regroup the IEEE sums the way the convolution
+	// tail kernel does, so results agree with unsharded mining within
+	// numerical tolerance but are not bitwise equal; Shards is therefore
+	// result-affecting and participates in CanonicalKey (the canonical key's
+	// shard-layout field). For any fixed N ≥ 2, results are byte-identical
+	// between the inline path and the distributed worker path — the
+	// equivalence the crosscheck shard suite pins.
 	Shards int
 
 	// ShardKernel, when non-nil and Shards ≥ 2, delegates per-shard tail
 	// and clause computation (the service layer installs the RPC-backed
-	// shard.Client session here; shard.LocalKernel is the in-process
-	// implementation). The kernel performs the same canonical arithmetic the
-	// inline sharded path performs, so installing one never changes results
-	// — it is a pure execution knob, cleared by Canonical. A kernel may
-	// decline a call (ok = false), in which case the miner computes the
-	// quantity locally, bit-identically.
+	// shard.Client session here). The kernel performs the same canonical
+	// arithmetic the inline sharded path performs, so installing one never
+	// changes results — it is a pure execution knob, cleared by Canonical.
+	// A kernel may decline a call (ok = false), in which case the miner
+	// computes the quantity locally, bit-identically.
 	ShardKernel ShardKernel
 
 	// Trace, when non-nil, receives a line-per-event log of the DFS
@@ -213,8 +180,6 @@ const (
 	defaultEpsilon         = 0.1
 	defaultDelta           = 0.1
 	defaultMaxExactClauses = 6
-	defaultMaxPairClauses  = 16
-	defaultSplitDepth      = 4
 
 	// zeroClauseEps: clauses whose probability falls below this are dropped
 	// from the union computation and accounted as slack; the slack is
@@ -244,23 +209,8 @@ func (o Options) normalize() (Options, error) {
 	if o.MaxExactClauses == 0 {
 		o.MaxExactClauses = defaultMaxExactClauses
 	}
-	if o.MaxPairClauses == 0 {
-		o.MaxPairClauses = defaultMaxPairClauses
-	}
-	if o.SplitDepth < 0 {
-		return o, fmt.Errorf("core: SplitDepth must be ≥ 0, got %d", o.SplitDepth)
-	}
-	if o.SplitDepth == 0 {
-		o.SplitDepth = defaultSplitDepth
-	}
-	if o.TailMemoEntries == 0 {
-		o.TailMemoEntries = defaultTailMemoEntries
-	}
 	if o.Tidsets < TidsetsAuto || o.Tidsets > TidsetsCompressed {
 		return o, fmt.Errorf("core: unknown TidsetMode %d", o.Tidsets)
-	}
-	if o.TailKernel < poibin.KernelAuto || o.TailKernel > poibin.KernelConv {
-		return o, fmt.Errorf("core: unknown TailKernel %d", o.TailKernel)
 	}
 	if o.Shards < 0 {
 		return o, fmt.Errorf("core: Shards must be ≥ 0, got %d", o.Shards)

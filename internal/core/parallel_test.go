@@ -81,8 +81,7 @@ func TestParallelDeterministic(t *testing.T) {
 // Parallelism setting, because each node derives its sampler seed from
 // (Seed, itemset), never from scheduling. The workload is a Mushroom-like
 // dense database with bounds disabled and exact unions off, so every
-// evaluation goes through the sampler; SplitDepth 1..3 additionally varies
-// how aggressively the scheduler splits subtrees.
+// evaluation goes through the sampler.
 func TestParallelismInvariantResults(t *testing.T) {
 	raw := gen.MushroomLike(0.03, 42)
 	db := gen.AssignGaussian(raw, 0.5, 0.5, 43)
@@ -100,36 +99,33 @@ func TestParallelismInvariantResults(t *testing.T) {
 	if ref.Stats.Sampled == 0 {
 		t.Fatal("workload has no sampled evaluations; the test would not exercise RNG determinism")
 	}
-	for _, par := range []int{1, 2, 8} {
-		for _, split := range []int{1, 2, 3} {
-			opts := base
-			opts.Parallelism = par
-			opts.SplitDepth = split
-			got, err := Mine(db, opts)
-			if err != nil {
-				t.Fatal(err)
+	for _, par := range []int{1, 2, 4, 8} {
+		opts := base
+		opts.Parallelism = par
+		got, err := Mine(db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Itemsets) != len(ref.Itemsets) {
+			t.Fatalf("par=%d: %d itemsets, want %d", par, len(got.Itemsets), len(ref.Itemsets))
+		}
+		for i := range ref.Itemsets {
+			w, g := ref.Itemsets[i], got.Itemsets[i]
+			if !itemset.Equal(w.Items, g.Items) || w.Prob != g.Prob ||
+				w.Lower != g.Lower || w.Upper != g.Upper ||
+				w.FreqProb != g.FreqProb || w.Method != g.Method {
+				t.Fatalf("par=%d: itemset %d differs:\n got %+v\nwant %+v", par, i, g, w)
 			}
-			if len(got.Itemsets) != len(ref.Itemsets) {
-				t.Fatalf("par=%d split=%d: %d itemsets, want %d", par, split, len(got.Itemsets), len(ref.Itemsets))
-			}
-			for i := range ref.Itemsets {
-				w, g := ref.Itemsets[i], got.Itemsets[i]
-				if !itemset.Equal(w.Items, g.Items) || w.Prob != g.Prob ||
-					w.Lower != g.Lower || w.Upper != g.Upper ||
-					w.FreqProb != g.FreqProb || w.Method != g.Method {
-					t.Fatalf("par=%d split=%d: itemset %d differs:\n got %+v\nwant %+v", par, split, i, g, w)
-				}
-			}
-			// Everything except the scheduling counters and the memo split
-			// must merge back to the serial statistics.
-			gs, ws := got.Stats, ref.Stats
-			gs.TasksSpawned, gs.TasksStolen = 0, 0
-			ws.TasksSpawned, ws.TasksStolen = 0, 0
-			gs.TailEvaluations, gs.TailMemoHits = gs.TailEvaluations+gs.TailMemoHits, 0
-			ws.TailEvaluations, ws.TailMemoHits = ws.TailEvaluations+ws.TailMemoHits, 0
-			if gs != ws {
-				t.Fatalf("par=%d split=%d: stats differ:\n got %+v\nwant %+v", par, split, gs, ws)
-			}
+		}
+		// Everything except the scheduling counters and the memo split
+		// must merge back to the serial statistics.
+		gs, ws := got.Stats, ref.Stats
+		gs.TasksSpawned, gs.TasksStolen = 0, 0
+		ws.TasksSpawned, ws.TasksStolen = 0, 0
+		gs.TailEvaluations, gs.TailMemoHits = gs.TailEvaluations+gs.TailMemoHits, 0
+		ws.TailEvaluations, ws.TailMemoHits = ws.TailEvaluations+ws.TailMemoHits, 0
+		if gs != ws {
+			t.Fatalf("par=%d: stats differ:\n got %+v\nwant %+v", par, gs, ws)
 		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 // pops from the back (LIFO — depth-first order, cache-warm) and steals from
 // the front of a victim's deque (FIFO — the shallowest, i.e. largest,
 // subtree available). Splitting is demand-driven: a node only turns a child
-// into a task when it is shallow enough (Options.SplitDepth) and some
-// worker is currently starving, so the common case stays a plain recursive
-// call with zero synchronization.
+// into a task when it is shallow enough (splitDepth) and some worker is
+// currently starving, so the common case stays a plain recursive call with
+// zero synchronization.
 //
 // Determinism: the set of nodes visited, every pruning decision, and every
 // evaluation verdict depend only on the data and the options — sampling
@@ -202,11 +202,18 @@ func (w *worker) execute(t task) {
 	}
 }
 
+// splitDepth bounds how deep in the enumeration tree a node may still hand
+// children to idle workers: a child is spawned as a task only when its
+// parent has fewer than splitDepth items and some worker is starving.
+// Deeper nodes always recurse inline, so the common case pays no
+// synchronization.
+const splitDepth = 4
+
 // spawnable reports whether a child at the given parent depth should be
 // handed to the pool instead of descended into inline.
 func (m *miner) spawnable(parentDepth int) bool {
 	w := m.worker
-	return w != nil && parentDepth < m.opts.SplitDepth && w.sched.idleWorkers() > 0
+	return w != nil && parentDepth < splitDepth && w.sched.idleWorkers() > 0
 }
 
 // mineDFSParallel distributes the enumeration tree over the work-stealing

@@ -51,25 +51,12 @@ func TestSchedulerAbortKeepsFirstError(t *testing.T) {
 func TestParallelSpawnsTasks(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	db := randomDB(rng, 18, 8)
-	res, err := Mine(db, Options{MinSup: 2, PFCT: 0.3, Seed: 3, Parallelism: 4, SplitDepth: 8})
+	res, err := Mine(db, Options{MinSup: 2, PFCT: 0.3, Seed: 3, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.TasksSpawned < res.Stats.CandidateItems {
 		t.Fatalf("TasksSpawned = %d < CandidateItems = %d", res.Stats.TasksSpawned, res.Stats.CandidateItems)
-	}
-}
-
-func TestSplitDepthValidation(t *testing.T) {
-	if _, err := (Options{MinSup: 1, PFCT: 0.5, SplitDepth: -1}).normalize(); err == nil {
-		t.Error("negative SplitDepth accepted")
-	}
-	o, err := (Options{MinSup: 1, PFCT: 0.5}).normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.SplitDepth != defaultSplitDepth {
-		t.Errorf("SplitDepth default = %d, want %d", o.SplitDepth, defaultSplitDepth)
 	}
 }
 

@@ -10,19 +10,15 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"github.com/probdata/pfcim/internal/poibin"
 )
 
 // Canonical returns the canonical form of o: validation and defaulting
 // applied (exactly as Mine would), and every field that cannot change the
-// mined result — Trace, Tracer, Parallelism, SplitDepth, TailMemoEntries,
-// Tidsets, all pure execution knobs per DESIGN §8.3 — cleared to the zero
-// value. (TailKernel stays: forcing the convolution kernel can change
-// results within tolerance, so it is result-affecting.) Two option structs
-// with equal canonical forms produce byte-identical result sets, so the
-// canonical form (or CanonicalKey, its string rendering) is a sound cache
-// key.
+// mined result — Trace, Tracer, Parallelism, Tidsets and ShardKernel, all
+// pure execution knobs per DESIGN §8.3 — cleared to the zero value. Two
+// option structs with equal canonical forms produce byte-identical result
+// sets, so the canonical form (or CanonicalKey, its string rendering) is a
+// sound cache key.
 func (o Options) Canonical() (Options, error) {
 	c, err := o.normalize()
 	if err != nil {
@@ -31,8 +27,6 @@ func (o Options) Canonical() (Options, error) {
 	c.Trace = nil
 	c.Tracer = nil
 	c.Parallelism = 0
-	c.SplitDepth = 0
-	c.TailMemoEntries = 0
 	c.Tidsets = TidsetsAuto
 	c.ShardKernel = nil
 	return c, nil
@@ -45,10 +39,10 @@ func (o Options) CanonicalKey() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("minsup=%d pfct=%g eps=%g delta=%g seed=%d noch=%t nosuper=%t nosub=%t nobound=%t search=%s maxexact=%d maxpair=%d tailkern=%s shards=%d",
+	return fmt.Sprintf("minsup=%d pfct=%g eps=%g delta=%g seed=%d noch=%t nosuper=%t nosub=%t nobound=%t search=%s maxexact=%d shards=%d",
 		c.MinSup, c.PFCT, c.Epsilon, c.Delta, c.Seed,
 		c.DisableCH, c.DisableSuperset, c.DisableSubset, c.DisableBounds,
-		c.Search, c.MaxExactClauses, c.MaxPairClauses, c.TailKernel, c.Shards), nil
+		c.Search, c.MaxExactClauses, c.Shards), nil
 }
 
 // OptionsJSON is the wire form of Options: every field except the process-
@@ -69,12 +63,8 @@ type OptionsJSON struct {
 	DisableBounds   bool    `json:"disable_bounds,omitempty"`
 	Search          string  `json:"search,omitempty"`
 	MaxExactClauses int     `json:"max_exact_clauses,omitempty"`
-	MaxPairClauses  int     `json:"max_pair_clauses,omitempty"`
 	Parallelism     int     `json:"parallelism,omitempty"`
-	SplitDepth      int     `json:"split_depth,omitempty"`
-	TailMemoEntries int     `json:"tail_memo_entries,omitempty"`
 	Tidsets         string  `json:"tidsets,omitempty"`
-	TailKernel      string  `json:"tail_kernel,omitempty"`
 	Shards          int     `json:"shards,omitempty"`
 }
 
@@ -88,10 +78,6 @@ func (o Options) JSON() OptionsJSON {
 	if o.Tidsets != TidsetsAuto {
 		tidsets = o.Tidsets.String()
 	}
-	tailKernel := ""
-	if o.TailKernel != poibin.KernelAuto {
-		tailKernel = o.TailKernel.String()
-	}
 	return OptionsJSON{
 		MinSup:          o.MinSup,
 		PFCT:            o.PFCT,
@@ -104,12 +90,8 @@ func (o Options) JSON() OptionsJSON {
 		DisableBounds:   o.DisableBounds,
 		Search:          search,
 		MaxExactClauses: o.MaxExactClauses,
-		MaxPairClauses:  o.MaxPairClauses,
 		Parallelism:     o.Parallelism,
-		SplitDepth:      o.SplitDepth,
-		TailMemoEntries: o.TailMemoEntries,
 		Tidsets:         tidsets,
-		TailKernel:      tailKernel,
 		Shards:          o.Shards,
 	}
 }
@@ -137,17 +119,6 @@ func (oj OptionsJSON) Options() (Options, error) {
 	default:
 		return Options{}, fmt.Errorf("core: unknown tidset mode %q (want \"auto\", \"dense\" or \"compressed\")", oj.Tidsets)
 	}
-	var tailKernel poibin.Kernel
-	switch strings.ToLower(strings.TrimSpace(oj.TailKernel)) {
-	case "", "auto":
-		tailKernel = poibin.KernelAuto
-	case "dp":
-		tailKernel = poibin.KernelDP
-	case "conv":
-		tailKernel = poibin.KernelConv
-	default:
-		return Options{}, fmt.Errorf("core: unknown tail kernel %q (want \"auto\", \"dp\" or \"conv\")", oj.TailKernel)
-	}
 	return Options{
 		MinSup:          oj.MinSup,
 		PFCT:            oj.PFCT,
@@ -160,12 +131,8 @@ func (oj OptionsJSON) Options() (Options, error) {
 		DisableBounds:   oj.DisableBounds,
 		Search:          search,
 		MaxExactClauses: oj.MaxExactClauses,
-		MaxPairClauses:  oj.MaxPairClauses,
 		Parallelism:     oj.Parallelism,
-		SplitDepth:      oj.SplitDepth,
-		TailMemoEntries: oj.TailMemoEntries,
 		Tidsets:         tidsets,
-		TailKernel:      tailKernel,
 		Shards:          oj.Shards,
 	}, nil
 }

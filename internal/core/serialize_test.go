@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/probdata/pfcim/internal/gen"
 	"github.com/probdata/pfcim/internal/uncertain"
 )
 
@@ -19,9 +18,7 @@ func TestCanonicalKeyIgnoresExecutionKnobs(t *testing.T) {
 	}
 	variants := []Options{
 		{MinSup: 2, PFCT: 0.8, Parallelism: 8},
-		{MinSup: 2, PFCT: 0.8, SplitDepth: 7},
-		{MinSup: 2, PFCT: 0.8, TailMemoEntries: -1},
-		{MinSup: 2, PFCT: 0.8, TailMemoEntries: 128},
+		{MinSup: 2, PFCT: 0.8, Tidsets: TidsetsCompressed},
 		{MinSup: 2, PFCT: 0.8, Trace: os.Stderr},
 		{MinSup: 2, PFCT: 0.8, Epsilon: 0.1, Delta: 0.1}, // explicit defaults
 	}
@@ -67,7 +64,7 @@ func TestOptionsJSONRoundTrip(t *testing.T) {
 	o := Options{
 		MinSup: 3, PFCT: 0.6, Epsilon: 0.05, Delta: 0.2, Seed: 7,
 		DisableSubset: true, Search: BFS, MaxExactClauses: -1,
-		MaxPairClauses: 8, Parallelism: 4, SplitDepth: 2, TailMemoEntries: -1,
+		Parallelism: 4, Tidsets: TidsetsDense, Shards: 3,
 	}
 	blob, err := json.Marshal(o.JSON())
 	if err != nil {
@@ -127,41 +124,5 @@ func TestResultJSONPaperExample(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, rj) {
 		t.Error("ResultJSON did not survive a JSON round trip")
-	}
-}
-
-// TestTailMemoEntriesOption checks the memory knob never changes results:
-// disabled and tightly capped memos mine the same itemsets as the default,
-// and the disabled run records no memo traffic.
-func TestTailMemoEntriesOption(t *testing.T) {
-	db := gen.AssignGaussian(gen.MushroomLike(0.03, 42), 0.5, 0.5, 43)
-	base := Options{MinSup: 40, PFCT: 0.5, Seed: 11}
-	want, err := Mine(db, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Stats.TailMemoHits == 0 {
-		t.Fatal("workload never hits the memo; the comparison below would be vacuous")
-	}
-	for _, entries := range []int{-1, 1, 16} {
-		o := base
-		o.TailMemoEntries = entries
-		got, err := Mine(db, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Itemsets, want.Itemsets) {
-			t.Errorf("TailMemoEntries=%d changed the mined itemsets", entries)
-		}
-		if entries < 0 && got.Stats.TailMemoHits != 0 {
-			t.Errorf("disabled memo recorded %d hits", got.Stats.TailMemoHits)
-		}
-		if entries < 0 {
-			sum := want.Stats.TailEvaluations + want.Stats.TailMemoHits
-			if got.Stats.TailEvaluations != sum {
-				t.Errorf("disabled memo: TailEvaluations = %d, want every lookup computed (%d)",
-					got.Stats.TailEvaluations, sum)
-			}
-		}
 	}
 }

@@ -10,8 +10,11 @@ package core
 // calls that carry an itemset identity are delegated to it instead. Both
 // sides compute the identical float sequences — the same probability
 // subsequences through the same PMFTrunc, the same ascending-tid partial
-// products with the same early exit — so inline, LocalKernel, and
-// RPC-delegated mining are byte-identical for a fixed shard count.
+// products with the same early exit — so inline and RPC-delegated mining
+// are byte-identical for a fixed shard count. The inline fold stays even
+// with a kernel installed: DNF clause tails are intersections with no
+// itemset identity, so they cannot be delegated and the miner folds them
+// itself.
 
 import (
 	"github.com/probdata/pfcim/internal/bitset"
@@ -23,8 +26,8 @@ import (
 func (m *miner) sharded() bool { return m.opts.Shards >= 2 }
 
 // shardLayout derives the run's range partition. The layout is a pure
-// function of (Shards, |UTD|), so every execution path — inline, local
-// kernel, distributed placement — partitions identically.
+// function of (Shards, |UTD|), so the inline fold and the distributed
+// placement partition identically.
 func (m *miner) shardLayout() shard.Layout {
 	return shard.Layout{N: m.opts.Shards, Total: m.db.N()}
 }

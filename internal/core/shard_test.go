@@ -50,38 +50,18 @@ func TestShardsOneCollapses(t *testing.T) {
 	}
 }
 
-// TestShardedThreeWayByteIdentity pins the tentpole equivalence: for a fixed
-// shard count, mining with the inline partition arithmetic, with an
-// in-process LocalKernel, and with real HTTP workers produces byte-identical
-// itemsets and stats — the same float sequences flow through the same
-// PMFTrunc/ConvolvePMF fold on all three paths, and JSON round-trips float64
-// exactly.
-func TestShardedThreeWayByteIdentity(t *testing.T) {
+// TestShardedInlineMatchesWorker pins the sharding equivalence: for a fixed
+// shard count, mining with the inline partition arithmetic and mining with a
+// loopback HTTP shard.Worker produce byte-identical itemsets and stats —
+// the same float sequences flow through the same PMFTrunc/ConvolvePMF fold
+// on both paths, and JSON round-trips float64 exactly.
+func TestShardedInlineMatchesWorker(t *testing.T) {
 	for _, db := range []*uncertain.DB{uncertain.PaperExample(), shardTestDB(t)} {
 		for _, n := range []int{2, 4} {
 			opts := Options{MinSup: 2, PFCT: 0.5, Seed: 3, Shards: n}
 			inline, err := Mine(db, opts)
 			if err != nil {
 				t.Fatal(err)
-			}
-
-			kern, err := shard.NewLocalKernel(db, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			local := opts
-			local.ShardKernel = kern
-			viaLocal, err := Mine(db, local)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(inline.Itemsets, viaLocal.Itemsets) {
-				t.Fatalf("n=%d: LocalKernel itemsets differ from inline:\n%+v\n%+v",
-					n, inline.Itemsets, viaLocal.Itemsets)
-			}
-			if !reflect.DeepEqual(inline.Stats, viaLocal.Stats) {
-				t.Fatalf("n=%d: LocalKernel stats differ from inline:\n%+v\n%+v",
-					n, inline.Stats, viaLocal.Stats)
 			}
 
 			srv := httptest.NewServer(shard.NewWorker(nil))

@@ -3,7 +3,10 @@ package crosscheck
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"reflect"
 
@@ -11,7 +14,6 @@ import (
 	"github.com/probdata/pfcim/internal/dnf"
 	"github.com/probdata/pfcim/internal/itemset"
 	"github.com/probdata/pfcim/internal/obs"
-	"github.com/probdata/pfcim/internal/poibin"
 	"github.com/probdata/pfcim/internal/shard"
 	"github.com/probdata/pfcim/internal/stream"
 	"github.com/probdata/pfcim/internal/sweep"
@@ -36,7 +38,7 @@ const (
 	InvariantMaxItems = 10
 	// Representation cases for the sparsewide shape go to sizes where the
 	// auto tidset policy actually mixes dense and compressed sets (n ≥
-	// 1024) and frequent-item tails exceed the convolution leaf (512).
+	// 1024).
 	RepMaxTrans = 2048
 	RepMaxItems = 18
 )
@@ -307,7 +309,6 @@ func Invariants(db *uncertain.DB, opts core.Options) error {
 		modify func(*core.Options)
 	}{
 		{"parallel4", func(o *core.Options) { o.Parallelism = 4 }},
-		{"parallel3/split1/nomemo", func(o *core.Options) { o.Parallelism = 3; o.SplitDepth = 1; o.TailMemoEntries = -1 }},
 		{"tracer", func(o *core.Options) { o.Tracer = obs.New() }},
 	} {
 		alt := opts
@@ -368,8 +369,8 @@ func Invariants(db *uncertain.DB, opts core.Options) error {
 
 // RunRepresentation builds the case at representation sizes and checks
 // RepresentationEquivalence. The sparsewide shape goes to RepMaxTrans so
-// the compressed containers and the divide-and-conquer tail kernel are
-// genuinely exercised; the other shapes run at invariant sizes.
+// the auto policy's mixed dense/compressed containers are genuinely
+// exercised; the other shapes run at invariant sizes.
 func RunRepresentation(c Case) error {
 	if c.MaxTrans == 0 {
 		if c.Shape == ShapeSparseWide {
@@ -392,18 +393,17 @@ func RunRepresentation(c Case) error {
 	return nil
 }
 
-// kernelEps tolerates the accumulated-rounding disagreement between the
-// dynamic-programming and divide-and-conquer tail kernels: both sum the
-// same products in different associations, so per-itemset probabilities
-// must agree to far better than this, and only itemsets within the band of
-// the threshold may appear under one kernel and not the other.
-const kernelEps = 1e-6
+// shardEps tolerates the accumulated-rounding disagreement between sharded
+// and unsharded tails: the per-shard PMF fold sums the same products as the
+// single-vector DP in a different association, so per-itemset
+// probabilities must agree to far better than this, and only itemsets
+// within the band of the threshold may appear on one side only.
+const shardEps = 1e-6
 
 // RepresentationEquivalence asserts the execution-representation contract
 // of DESIGN §13: forcing dense or compressed tidsets — at any parallelism,
 // in any mixture — yields byte-identical results and scheduling-independent
-// stats; the forced DP kernel reproduces the auto kernel bitwise below the
-// crossover; and the forced convolution kernel agrees to kernelEps.
+// stats.
 func RepresentationEquivalence(db *uncertain.DB, opts core.Options) error {
 	den := opts
 	den.Tidsets = core.TidsetsDense
@@ -419,7 +419,6 @@ func RepresentationEquivalence(db *uncertain.DB, opts core.Options) error {
 		{"compressed/parallel4", func(o *core.Options) { o.Tidsets = core.TidsetsCompressed; o.Parallelism = 4 }},
 		{"dense/parallel4", func(o *core.Options) { o.Tidsets = core.TidsetsDense; o.Parallelism = 4 }},
 		{"auto", func(o *core.Options) { o.Tidsets = core.TidsetsAuto }},
-		{"dp-kernel", func(o *core.Options) { o.Tidsets = core.TidsetsAuto; o.TailKernel = poibin.KernelDP }},
 	} {
 		alt := opts
 		k.modify(&alt)
@@ -435,23 +434,14 @@ func RepresentationEquivalence(db *uncertain.DB, opts core.Options) error {
 			return fmt.Errorf("representation equivalence violated: %s stats %+v differ from dense %+v", k.name, a, b)
 		}
 	}
-	conv := opts
-	conv.TailKernel = poibin.KernelConv
-	resConv, err := core.Mine(db, conv)
-	if err != nil {
-		return fmt.Errorf("mine conv-kernel: %w", err)
-	}
-	if err := kernelConsistent(base.Itemsets, resConv.Itemsets, opts.PFCT); err != nil {
-		return fmt.Errorf("dp vs conv kernel: %w", err)
-	}
 	return nil
 }
 
-// kernelConsistent compares the result sets mined under the two tail
-// kernels: shared itemsets must agree on Pr_FC and Pr_F within kernelEps,
-// and an itemset accepted under only one kernel must sit within kernelEps
-// of the threshold.
-func kernelConsistent(a, b []core.ResultItem, pfct float64) error {
+// shardConsistent compares an unsharded result set a with a sharded one b:
+// shared itemsets must agree on Pr_FC and Pr_F within shardEps, and an
+// itemset accepted on one side only must sit within shardEps of the
+// threshold.
+func shardConsistent(a, b []core.ResultItem, pfct float64) error {
 	am := make(map[string]core.ResultItem, len(a))
 	for _, ri := range a {
 		am[ri.Items.Key()] = ri
@@ -463,21 +453,21 @@ func kernelConsistent(a, b []core.ResultItem, pfct float64) error {
 	for key, ri := range am {
 		rj, ok := bm[key]
 		if !ok {
-			if ri.Prob > pfct+kernelEps {
-				return fmt.Errorf("itemset %v accepted only under DP with Pr_FC=%.12g, pfct=%g", ri.Items, ri.Prob, pfct)
+			if ri.Prob > pfct+shardEps {
+				return fmt.Errorf("itemset %v accepted only unsharded with Pr_FC=%.12g, pfct=%g", ri.Items, ri.Prob, pfct)
 			}
 			continue
 		}
-		if d := ri.Prob - rj.Prob; d > kernelEps || d < -kernelEps {
-			return fmt.Errorf("itemset %v: Pr_FC %.12g (dp) vs %.12g (conv)", ri.Items, ri.Prob, rj.Prob)
+		if d := ri.Prob - rj.Prob; d > shardEps || d < -shardEps {
+			return fmt.Errorf("itemset %v: Pr_FC %.12g (unsharded) vs %.12g (sharded)", ri.Items, ri.Prob, rj.Prob)
 		}
-		if d := ri.FreqProb - rj.FreqProb; d > kernelEps || d < -kernelEps {
-			return fmt.Errorf("itemset %v: Pr_F %.12g (dp) vs %.12g (conv)", ri.Items, ri.FreqProb, rj.FreqProb)
+		if d := ri.FreqProb - rj.FreqProb; d > shardEps || d < -shardEps {
+			return fmt.Errorf("itemset %v: Pr_F %.12g (unsharded) vs %.12g (sharded)", ri.Items, ri.FreqProb, rj.FreqProb)
 		}
 	}
 	for key, rj := range bm {
-		if _, ok := am[key]; !ok && rj.Prob > pfct+kernelEps {
-			return fmt.Errorf("itemset %v accepted only under conv with Pr_FC=%.12g, pfct=%g", rj.Items, rj.Prob, pfct)
+		if _, ok := am[key]; !ok && rj.Prob > pfct+shardEps {
+			return fmt.Errorf("itemset %v accepted only sharded with Pr_FC=%.12g, pfct=%g", rj.Items, rj.Prob, pfct)
 		}
 	}
 	return nil
@@ -546,12 +536,10 @@ func sameKeys(a, b []core.ResultItem) bool {
 
 // ShardEquivalence asserts the shard-composability contract of DESIGN §14:
 // Shards = 1 reproduces the unsharded run byte-for-byte; for N ∈ {2, 4} the
-// inline sharded path and an in-process shard.LocalKernel are byte-identical
-// to each other (the distributed path is pinned to the same arithmetic by
-// the core and service suites), every sharded result is well-formed, and the
-// sharded results agree with the single-node run under the same comparator
-// the DP-vs-convolution kernel ablation uses — sharding regroups the exact
-// same IEEE sums a forced convolution tree does.
+// inline sharded path and the delegated path — a shard.Client session
+// against an httptest-served shard.Worker, the production RPC transport —
+// are byte-identical to each other, every sharded result is well-formed,
+// and the sharded results agree with the single-node run within shardEps.
 func ShardEquivalence(db *uncertain.DB, opts core.Options) error {
 	base, err := core.Mine(db, opts)
 	if err != nil {
@@ -570,6 +558,12 @@ func ShardEquivalence(db *uncertain.DB, opts core.Options) error {
 	if a, b := schedIndependent(resOne.Stats), schedIndependent(base.Stats); a != b {
 		return fmt.Errorf("shard equivalence violated: shards=1 stats %+v differ from unsharded %+v", a, b)
 	}
+	srv := httptest.NewServer(shard.NewWorker(slog.New(slog.NewTextHandler(io.Discard, nil))))
+	defer srv.Close()
+	client, err := shard.NewClient([]string{srv.URL}, 0, nil)
+	if err != nil {
+		return fmt.Errorf("shard client: %w", err)
+	}
 	for _, n := range []int{2, 4} {
 		sh := opts
 		sh.Shards = n
@@ -580,28 +574,48 @@ func ShardEquivalence(db *uncertain.DB, opts core.Options) error {
 		if err := wellFormed(inline); err != nil {
 			return fmt.Errorf("shards=%d: %w", n, err)
 		}
-		kern, err := shard.NewLocalKernel(db, n)
+		viaRPC, err := mineViaWorker(client, db, sh)
 		if err != nil {
-			return fmt.Errorf("shards=%d kernel: %w", n, err)
+			return fmt.Errorf("mine shards=%d via worker: %w", n, err)
 		}
-		lk := sh
-		lk.ShardKernel = kern
-		viaKern, err := core.Mine(db, lk)
-		if err != nil {
-			return fmt.Errorf("mine shards=%d via kernel: %w", n, err)
+		if !sameResults(inline.Itemsets, viaRPC.Itemsets) {
+			return fmt.Errorf("shard equivalence violated: shards=%d worker run differs from inline (%d vs %d itemsets)",
+				n, len(viaRPC.Itemsets), len(inline.Itemsets))
 		}
-		if !sameResults(inline.Itemsets, viaKern.Itemsets) {
-			return fmt.Errorf("shard equivalence violated: shards=%d kernel run differs from inline (%d vs %d itemsets)",
-				n, len(viaKern.Itemsets), len(inline.Itemsets))
+		if a, b := schedIndependent(viaRPC.Stats), schedIndependent(inline.Stats); a != b {
+			return fmt.Errorf("shard equivalence violated: shards=%d worker stats %+v differ from inline %+v", n, a, b)
 		}
-		if a, b := schedIndependent(viaKern.Stats), schedIndependent(inline.Stats); a != b {
-			return fmt.Errorf("shard equivalence violated: shards=%d kernel stats %+v differ from inline %+v", n, a, b)
-		}
-		if err := kernelConsistent(base.Itemsets, inline.Itemsets, opts.PFCT); err != nil {
+		if err := shardConsistent(base.Itemsets, inline.Itemsets, opts.PFCT); err != nil {
 			return fmt.Errorf("unsharded vs shards=%d: %w", n, err)
 		}
 	}
 	return nil
+}
+
+// mineViaWorker places db at opts.Shards on the client's workers and mines
+// with the resulting session as the shard kernel. A failed shard RPC makes
+// the miner fall back to its inline arithmetic, which would hide the RPC
+// path from the comparison, so any failure the session reports is an error.
+func mineViaWorker(client *shard.Client, db *uncertain.DB, opts core.Options) (*core.Result, error) {
+	ctx, fail := context.WithCancelCause(context.Background())
+	defer fail(nil)
+	dataset := fmt.Sprintf("crosscheck-%d", opts.Shards)
+	if err := client.Place(ctx, dataset, db, opts.Shards); err != nil {
+		return nil, err
+	}
+	sess, err := client.Kernel(ctx, fail, dataset)
+	if err != nil {
+		return nil, err
+	}
+	opts.ShardKernel = sess
+	res, err := core.Mine(db, opts)
+	if err != nil {
+		return nil, err
+	}
+	if cause := context.Cause(ctx); cause != nil {
+		return nil, fmt.Errorf("shard RPC failed: %w", cause)
+	}
+	return res, nil
 }
 
 // StreamEquivalence asserts the delta-engine contract of DESIGN §15: across

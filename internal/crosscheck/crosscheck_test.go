@@ -65,11 +65,8 @@ func TestInvariantsProperty(t *testing.T) {
 
 // TestRepresentationProperty runs the representation-equivalence suite:
 // dense vs compressed tidsets at parallelism 1 and 4 must be
-// byte-identical, the forced DP kernel must reproduce the auto kernel, and
-// the divide-and-conquer kernel must agree within accumulated rounding.
-// The sparsewide shape runs at RepMaxTrans (≥ 1024 transactions), where
-// the auto policy genuinely mixes representations and frequent-item tails
-// cross the convolution leaf size.
+// byte-identical. The sparsewide shape runs at RepMaxTrans (≥ 1024
+// transactions), where the auto policy genuinely mixes representations.
 func TestRepresentationProperty(t *testing.T) {
 	for _, shape := range Shapes {
 		shape := shape
@@ -77,7 +74,7 @@ func TestRepresentationProperty(t *testing.T) {
 			t.Parallel()
 			cases := 12
 			if shape == ShapeSparseWide {
-				cases = 6 // each case mines a ~2000-transaction database seven times
+				cases = 6 // each case mines a ~2000-transaction database five times
 			}
 			if testing.Short() {
 				cases = 2
@@ -94,8 +91,8 @@ func TestRepresentationProperty(t *testing.T) {
 
 // TestShardEquivalenceProperty runs the shard-composability suite across
 // the seeded shape generators: Shards = 1 byte-identical to unsharded,
-// inline vs LocalKernel byte-identical at 2 and 4 shards, and sharded vs
-// single-node agreement under the kernel comparator.
+// inline vs an httptest-served shard worker byte-identical at 2 and 4
+// shards, and sharded vs single-node agreement within shardEps.
 func TestShardEquivalenceProperty(t *testing.T) {
 	cases := 25
 	if testing.Short() {

@@ -29,7 +29,6 @@ type BenchPoint struct {
 	PFCT        float64    `json:"pfct"`
 	Parallelism int        `json:"parallelism"`
 	Shards      int        `json:"shards,omitempty"`
-	SplitDepth  int        `json:"split_depth,omitempty"`
 	NsPerOp     int64      `json:"ns_per_op"`
 	AllocsPerOp int64      `json:"allocs_per_op"`
 	BytesPerOp  int64      `json:"bytes_per_op"`
@@ -100,11 +99,6 @@ func (s *Suite) RunBench(w io.Writer) error {
 		}
 		cfg.Itemsets = len(res.Itemsets)
 		cfg.Stats = res.Stats
-		// Record the normalized execution settings the run actually used,
-		// not the requested ones (SplitDepth in particular is defaulted
-		// inside Mine).
-		cfg.Parallelism = res.Options.Parallelism
-		cfg.SplitDepth = res.Options.SplitDepth
 
 		br := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -404,8 +398,6 @@ func (s *Suite) benchLargeQuest() (BenchPoint, error) {
 	}
 	cfg.Itemsets = len(res.Itemsets)
 	cfg.Stats = res.Stats
-	cfg.Parallelism = res.Options.Parallelism
-	cfg.SplitDepth = res.Options.SplitDepth
 
 	br := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

@@ -27,8 +27,9 @@ package poibin
 // (ConvCrossoverN): every caller — miner, memo, sweep replay, daemon —
 // resolves the same probability vector with the same kernel, preserving the
 // system-wide byte-identity guarantees of DESIGN §8.3. Forcing a kernel via
-// TailKernel is a result-affecting choice above the crossover and is
-// treated like an ablation switch by core.Options.
+// TailKernel is a result-affecting choice above the crossover, so
+// production code always takes the KernelAuto dispatch; the forced kernels
+// exist for equivalence tests and kernel benchmarks.
 
 import (
 	"sync"
@@ -48,16 +49,6 @@ const (
 	// forcing KernelConv on small inputs is bit-identical to KernelDP.
 	KernelConv
 )
-
-func (k Kernel) String() string {
-	switch k {
-	case KernelDP:
-		return "dp"
-	case KernelConv:
-		return "conv"
-	}
-	return "auto"
-}
 
 const (
 	// ConvCrossoverN is the KernelAuto crossover: probability vectors with

@@ -39,7 +39,7 @@ func TestCacheHitMatchesFreshMine(t *testing.T) {
 		// Different execution knobs, same canonical key: must hit the cache.
 		hitJSON := optsJSON
 		hitJSON.Parallelism = 4
-		hitJSON.SplitDepth = 1
+		hitJSON.Tidsets = "compressed"
 		resp = postJSON(t, ts.URL+"/v1/jobs", jobRequest{Dataset: ds.ID, Options: hitJSON})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s seed %d: cached submit status %d, want 200", shape, seed, resp.StatusCode)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -149,7 +150,6 @@ type Manager struct {
 	metrics    *metrics
 	log        *slog.Logger
 	maxJobTime time.Duration
-	tailMemo   int           // default Options.TailMemoEntries for jobs that leave it 0
 	slowJob    time.Duration // wall-time threshold for slow-job warnings (0 = off)
 	traceJobs  bool          // attach a per-job obs.Tracer to every mined job
 	shards     int           // default Options.Shards for jobs that leave it 0
@@ -183,7 +183,6 @@ func newManager(cfg Config, cache *resultCache, mtr *metrics, log *slog.Logger, 
 		metrics:    mtr,
 		log:        log,
 		maxJobTime: cfg.MaxJobTime,
-		tailMemo:   cfg.TailMemoEntries,
 		slowJob:    cfg.SlowJobThreshold,
 		traceJobs:  !cfg.DisableJobTracing,
 		shards:     cfg.Shards,
@@ -229,9 +228,7 @@ func (m *Manager) Submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout t
 	if err != nil {
 		return JobInfo{}, err
 	}
-	if opts.TailMemoEntries == 0 {
-		opts.TailMemoEntries = m.tailMemo
-	}
+	capParallelism(&opts)
 	if timeout <= 0 || (m.maxJobTime > 0 && timeout > m.maxJobTime) {
 		timeout = m.maxJobTime
 	}
@@ -293,6 +290,17 @@ func (m *Manager) Submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout t
 	m.addLocked(j)
 	m.log.Info("job queued", "job", j.id, "dataset", j.dataset)
 	return j.snapshot(), nil
+}
+
+// capParallelism bounds a submission's Parallelism, which comes from an
+// untrusted request: the scheduler allocates one worker and one sub-miner
+// per unit, and no more than GOMAXPROCS of them can run at once anyway.
+// Canonical clears Parallelism, so the cap changes neither results nor
+// cache keys.
+func capParallelism(opts *core.Options) {
+	if n := runtime.GOMAXPROCS(0); opts.Parallelism > n {
+		opts.Parallelism = n
+	}
 }
 
 // applyShards folds the daemon's default shard count into a submission's

@@ -7,12 +7,14 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode"
 
 	"github.com/probdata/pfcim/internal/core"
 	"github.com/probdata/pfcim/internal/obs"
@@ -202,11 +204,12 @@ func TestPrometheusExpositionSyntax(t *testing.T) {
 	}
 }
 
-// TestFullStatsExported: every core.Stats field accumulated by a finished
-// job must be visible in the metrics snapshot — the addStats regression
-// this PR fixes (it used to export 5 of 17 counters).
+// TestFullStatsExported: metrics.go mirrors every core.Stats field; this
+// pins the mirror. It reflects over core.Stats, mines one job, and requires
+// each field to appear in the JSON /metrics view — under its snake_case
+// name — with exactly that job's value.
 func TestFullStatsExported(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1})
+	_, ts := testServer(t, Config{Workers: 1})
 	db := hardDB(t)
 	ds := uploadDB(t, ts.URL, db)
 	job := decode[JobInfo](t, postJSON(t, ts.URL+"/v1/jobs", jobRequest{
@@ -217,40 +220,45 @@ func TestFullStatsExported(t *testing.T) {
 	if info.Status != StatusDone {
 		t.Fatalf("job = %+v, want done", info)
 	}
-	snap := s.Metrics()
-	stats := info.Result.Stats
-	want := map[string]int{
-		"nodes_visited":    stats.NodesVisited,
-		"candidate_items":  stats.CandidateItems,
-		"ch_pruned":        stats.CHPruned,
-		"freq_pruned":      stats.FreqPruned,
-		"superset_pruned":  stats.SupersetPruned,
-		"subset_pruned":    stats.SubsetPruned,
-		"bound_rejected":   stats.BoundRejected,
-		"bound_accepted":   stats.BoundAccepted,
-		"exact_unions":     stats.ExactUnions,
-		"sampled":          stats.Sampled,
-		"samples_drawn":    stats.SamplesDrawn,
-		"evaluated":        stats.Evaluated,
-		"tail_evaluations": stats.TailEvaluations,
-		"tail_memo_hits":   stats.TailMemoHits,
-		"clause_evaluated": stats.ClauseEvaluated,
-		"tasks_spawned":    stats.TasksSpawned,
-		"tasks_stolen":     stats.TasksStolen,
+	_, body := getWithAccept(t, ts.URL+"/metrics", "application/json")
+	var snap map[string]int64
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("decode /metrics: %v", err)
 	}
-	for name, v := range want {
+	stats := reflect.ValueOf(info.Result.Stats)
+	for i := 0; i < stats.NumField(); i++ {
+		field := stats.Type().Field(i).Name
+		name := snakeCase(field)
 		got, ok := snap[name]
 		if !ok {
-			t.Errorf("metric %q missing from snapshot", name)
+			t.Errorf("core.Stats.%s has no %q metric", field, name)
 			continue
 		}
-		if got != int64(v) {
-			t.Errorf("metric %q = %d, want %d (the job's stat)", name, got, v)
+		if want := stats.Field(i).Int(); got != want {
+			t.Errorf("metric %q = %d, want %d (the job's %s)", name, got, want, field)
 		}
 	}
 	if snap["nodes_visited"] == 0 || snap["evaluated"] == 0 {
 		t.Error("workload produced no mining work; test is vacuous")
 	}
+}
+
+// snakeCase converts a Go field name to its metric name: NodesVisited →
+// nodes_visited, CHPruned → ch_pruned.
+func snakeCase(s string) string {
+	var b strings.Builder
+	for i, r := range s {
+		upper := unicode.IsUpper(r)
+		if upper && i > 0 {
+			prevLower := unicode.IsLower(rune(s[i-1]))
+			nextLower := i+1 < len(s) && unicode.IsLower(rune(s[i+1]))
+			if prevLower || nextLower {
+				b.WriteByte('_')
+			}
+		}
+		b.WriteRune(unicode.ToLower(r))
+	}
+	return b.String()
 }
 
 // TestJobTraceEndpoint: a finished job serves its phase profile; queued or

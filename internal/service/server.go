@@ -35,9 +35,6 @@ type Config struct {
 	// MaxJobTime caps every job's wall time; 0 means no deadline. A job may
 	// request a shorter timeout, never a longer one.
 	MaxJobTime time.Duration
-	// TailMemoEntries is applied to jobs that leave Options.TailMemoEntries
-	// at 0, bounding per-job memory across the pool (see core.Options).
-	TailMemoEntries int
 	// MaxUploadBytes bounds dataset upload bodies. Default 256 MiB.
 	MaxUploadBytes int64
 	// AllowPathLoad enables registering datasets from server-local paths

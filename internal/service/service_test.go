@@ -290,6 +290,67 @@ func TestSubmitValidation(t *testing.T) {
 	r3.Body.Close()
 }
 
+// TestRemovedOptionKeysRejected: execution knobs that are now fixed
+// constants are no longer part of the options wire form, so a request that
+// still sends one gets the strict decoder's 400 naming the key.
+func TestRemovedOptionKeysRejected(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1})
+	ds := uploadDB(t, ts.URL, uncertain.PaperExample())
+	for _, kv := range []struct{ key, value string }{
+		{"split_depth", "2"},
+		{"tail_memo_entries", "-1"},
+		{"max_pair_clauses", "8"},
+		{"tail_kernel", `"dp"`},
+	} {
+		t.Run(kv.key, func(t *testing.T) {
+			body := `{"dataset": "` + ds.ID + `", "options": {"min_sup": 2, "pfct": 0.8, "` + kv.key + `": ` + kv.value + `}}`
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				resp.Body.Close()
+				t.Fatalf("status = %d, want 400", resp.StatusCode)
+			}
+			if er := decode[errorResponse](t, resp); er.Field != kv.key {
+				t.Errorf("field = %q, want %q (error: %s)", er.Field, kv.key, er.Error)
+			}
+		})
+	}
+}
+
+// TestParallelismCapped: the request's parallelism is untrusted and the
+// scheduler allocates per unit, so Submit caps it at GOMAXPROCS. A huge
+// value must mine normally — with the cache off, so both jobs really
+// mine — and return the itemsets of a serial job.
+func TestParallelismCapped(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, CacheSize: -1})
+	db := hardDB(t)
+	ds := uploadDB(t, ts.URL, db)
+	mine := func(par int) JobInfo {
+		t.Helper()
+		opts := core.OptionsJSON{MinSup: core.AbsoluteMinSup(db.N(), 0.3), PFCT: 0.5, Parallelism: par}
+		resp := postJSON(t, ts.URL+"/v1/jobs", jobRequest{Dataset: ds.ID, Options: opts})
+		if resp.StatusCode != http.StatusAccepted {
+			resp.Body.Close()
+			t.Fatalf("parallelism %d: submit status %d, want 202", par, resp.StatusCode)
+		}
+		info := waitJob(t, ts.URL, decode[JobInfo](t, resp).ID)
+		if info.Status != StatusDone {
+			t.Fatalf("parallelism %d: job = %+v, want done", par, info)
+		}
+		return info
+	}
+	serial := mine(0)
+	huge := mine(1 << 30)
+	if len(serial.Result.Itemsets) == 0 {
+		t.Fatal("workload mined no itemsets; the comparison would be vacuous")
+	}
+	if !bytes.Equal(mustJSON(t, huge.Result.Itemsets), mustJSON(t, serial.Result.Itemsets)) {
+		t.Error("parallelism 1<<30 mined different itemsets than parallelism 0")
+	}
+}
+
 func TestCancelRunningJob(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	ds := uploadDB(t, ts.URL, hardDB(t))

@@ -43,9 +43,7 @@ func (m *Manager) SubmitSweep(ds *Dataset, oj core.OptionsJSON, pts []sweep.Poin
 	if err := m.applyShards(&opts); err != nil {
 		return JobInfo{}, err
 	}
-	if opts.TailMemoEntries == 0 {
-		opts.TailMemoEntries = m.tailMemo
-	}
+	capParallelism(&opts)
 	slots := make([]sweepSlot, len(pts))
 	for i, pj := range pts {
 		p := pj.Point()

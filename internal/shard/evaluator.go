@@ -23,8 +23,8 @@ const evalMemoEntries = 1 << 14
 // Evaluator is the per-shard state of one (dataset, shard) pair: the slice
 // database, its vertical index, a reusable Poisson-binomial scratch, and a
 // shard-local memo of truncated PMFs keyed by (itemset, extension, k).
-// An Evaluator is not safe for concurrent use; Worker and LocalKernel
-// serialize access per slot.
+// An Evaluator is not safe for concurrent use; Worker serializes access per
+// slot.
 type Evaluator struct {
 	Shard int
 	Lo    int // global tid of local tid 0

@@ -165,9 +165,9 @@ type ResultJSON = core.ResultJSON
 type ResultItemJSON = core.ResultItemJSON
 
 // CanonicalOptions validates o, applies the defaults Mine would, and clears
-// every field that cannot change the mined result (Trace and the execution
-// knobs Parallelism, SplitDepth, TailMemoEntries). Two option structs with
-// equal canonical forms produce byte-identical result sets.
+// every field that cannot change the mined result (Trace, Tracer and the
+// execution knobs Parallelism, Tidsets, ShardKernel). Two option structs
+// with equal canonical forms produce byte-identical result sets.
 func CanonicalOptions(o Options) (Options, error) { return o.Canonical() }
 
 // OptionsKey renders the canonical form of o as a deterministic string.
