@@ -103,21 +103,14 @@ func (m *miner) mineBFS() error {
 				exts = append(exts, rec)
 			}
 			selfNS := m.rec.Now() - nodeStart
-			ev, err := m.evaluate(node.items, node.tids, node.cnt, node.prF, exts)
+			ri, accepted, err := m.evaluate(node.items, node.tids, node.cnt, node.prF, exts, m.opts.PFCT)
 			if err != nil {
 				m.releaseExts(depth, exts)
 				m.rec.Node(depth, nodeStart, selfNS)
 				return err
 			}
-			if ev.accepted {
-				m.results = append(m.results, ResultItem{
-					Items:    node.items.Clone(),
-					Prob:     ev.prob,
-					Lower:    ev.lower,
-					Upper:    ev.upper,
-					FreqProb: node.prF,
-					Method:   ev.method,
-				})
+			if accepted {
+				m.results = append(m.results, ri)
 			}
 			for i := range exts {
 				rec := &exts[i]

@@ -12,14 +12,6 @@ import (
 	"github.com/probdata/pfcim/internal/poibin"
 )
 
-// evaluation is the verdict on one candidate itemset.
-type evaluation struct {
-	accepted     bool
-	prob         float64 // estimated Pr_FC
-	lower, upper float64 // Pr_FC sandwich (equal to prob when exact)
-	method       Method
-}
-
 // clause is one extension event C_i, prepared for the union machinery.
 type clause struct {
 	item  itemset.Item
@@ -40,136 +32,231 @@ func (s *clauseSorter) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i]
 
 // sortClauses sorts clauses in place by descending probability — the order
 // the pairwise bound budget and the Karp–Luby min-index check rely on.
-// evaluate and the Evaluator's profile construction must use the same
-// routine: bit-identity of the replay depends on equal-probability clauses
-// tieing the same way.
 func (m *miner) sortClauses(clauses []clause) {
 	m.clauseSort = clauses
 	sort.Sort(&m.clauseSort)
 }
 
-// evaluate decides whether X (with tidset tids, |tids| = count and exact
-// frequent probability prF) is a probabilistic frequent closed itemset.
-// It follows §IV.B: clause probabilities, Lemma 4.4 bound pruning, then
-// exact inclusion–exclusion or the ApproxFCP sampler for the survivors.
-// exts, when non-nil, holds the extension records the enumeration loop
-// already computed for candidate positions ≥ startPos; their tidsets and
-// exact frequent probabilities are reused instead of recomputed.
-func (m *miner) evaluate(x itemset.Itemset, tids *bitset.Bitset, count int, prF float64, exts []extension) (evaluation, error) {
-	m.stats.Evaluated++
+// evalProfile is the checking-cascade state (§IV.B) of one itemset, and
+// the only such state: the enumeration frameworks, the naive baseline,
+// top-k, the sweep Evaluator and the single-itemset FCP helpers all build
+// one with buildProfile and settle it with decide. Everything before the
+// decision — the frequent probability, the sorted clauses, the clause
+// system, the first-order bounds, and the lazily filled pairwise bounds
+// and union — is independent of pfct, so a profile can be decided again at
+// another threshold (the sweep Evaluator's replay). Mining runs build it
+// in the miner's scratch (miner.evalBuf); the Evaluator keeps owned copies.
+type evalProfile struct {
+	x   itemset.Itemset
+	prF float64 // exact frequent probability Pr_F(x)
 
+	dead      bool // x is infrequent or some extension always co-occurs: Pr_FC = 0
+	noClauses bool // no extension event possible: Pr_FC = Pr_F
+
+	slack      float64
+	clauses    []clause // sorted by descending probability; nil once released
+	sys        *dnf.System
+	probs      []float64
+	foLo, foHi float64 // first-order union bounds
+
+	pwDone     bool
+	pwLo, pwHi float64 // pairwise (Lemma 4.4) union bounds
+
+	unionDone bool
+	union     float64 // raw exact/sampled union, before slack and clamping
+	method    Method
+
+	// boundStart is when the bound-check phase of the pending decision
+	// began; decide closes the span once the bounds have had their say.
+	boundStart int64
+}
+
+// evaluate decides whether the enumeration node X (with tidset tids,
+// |tids| = count and exact frequent probability prF) is a probabilistic
+// frequent closed itemset at pfct. exts, when non-nil, holds the extension
+// records the enumeration loop already computed for candidate positions ≥
+// startPos; their tidsets and exact frequent probabilities are reused
+// instead of recomputed. The returned item owns a clone of x when
+// accepted, so callers may retain it while reusing their path buffers.
+func (m *miner) evaluate(x itemset.Itemset, tids *bitset.Bitset, count int, prF float64, exts []extension, pfct float64) (ResultItem, bool, error) {
 	// The bound-check span covers the cascade up to the Lemma 4.4 verdict:
 	// clause construction, the clause system, and both bound levels. The
 	// exact/sampling resolutions that follow record their own spans.
-	depth := len(x)
-	boundStart := m.rec.Now()
+	start := m.rec.Now()
+	p := &m.evalBuf
+	if err := m.buildProfile(p, x, tids, count, prF, exts, false); err != nil {
+		m.releaseClauses(p)
+		return ResultItem{}, false, err
+	}
+	p.boundStart = start
+	ri, ok, err := m.decide(p, pfct)
+	m.releaseClauses(p)
+	if ok {
+		ri.Items = x.Clone()
+	}
+	return ri, ok, err
+}
 
+// buildProfile fills p with the pfct-independent stages of x's cascade:
+// the clauses of Definition 4.1 in descending probability order, their
+// clause system, and the free first-order bounds. owned profiles copy the
+// clause records and build a validated clause system of their own; the
+// others borrow the miner's scratch, valid until the next build. On error
+// the caller still releases p's clauses.
+func (m *miner) buildProfile(p *evalProfile, x itemset.Itemset, tids *bitset.Bitset, count int, prF float64, exts []extension, owned bool) error {
+	*p = evalProfile{x: x, prF: prF}
+	if count < m.opts.MinSup {
+		// Pr_F(X) = 0. The enumeration never gets here; standalone
+		// evaluations of arbitrary itemsets do.
+		p.dead = true
+		return nil
+	}
+	m.stats.Evaluated++
 	clauses, slack, dead := m.buildClauses(x, tids, count, exts)
-	defer func() {
-		// Freelist-owned clause tidsets are dead once the verdict is in;
-		// borrowed ones are released by the owner of the extension records.
-		for _, c := range clauses {
-			if c.owned {
-				m.putBuf(c.b)
-			}
-		}
-	}()
+	p.slack, p.dead = slack, dead
 	if dead {
 		// Some extension always co-occurs with X: Pr_FC(X) = 0.
-		m.rec.Span(obs.PhaseBoundCheck, depth, boundStart)
-		return evaluation{accepted: false, method: MethodExact}, nil
+		return nil
 	}
 	if len(clauses) == 0 && slack == 0 {
 		// No extension event is possible: X is closed whenever frequent.
-		m.rec.Span(obs.PhaseBoundCheck, depth, boundStart)
-		ev := evaluation{prob: prF, lower: prF, upper: prF, method: MethodNoClauses}
-		ev.accepted = ev.prob > m.opts.PFCT
-		return ev, nil
+		p.noClauses = true
+		return nil
 	}
-
-	// Sort by descending clause probability so that the pairwise bound
-	// budget and the Karp–Luby min-index check concentrate on the clauses
-	// that matter.
-	m.sortClauses(clauses)
-
-	sys, probs, err := m.clauseSystem(tids, clauses)
-	if err != nil {
-		return evaluation{}, err
+	if !owned {
+		m.sortClauses(clauses)
+		p.clauses = clauses
+		p.sys, p.probs = m.clauseSystem(tids, clauses)
+	} else {
+		// buildClauses returns the miner's scratch slice; an owned profile
+		// keeps its own copy. (The clause tidsets themselves are arena sets
+		// the profile holds until its union is resolved.)
+		p.clauses = append([]clause(nil), clauses...)
+		m.sortClauses(p.clauses)
+		var err error
+		if p.sys, p.probs, err = m.clauseSystemOwned(tids, p.clauses); err != nil {
+			return err
+		}
 	}
 
 	// First-order bounds are free: union ≥ max Pr(C_i), union ≤ min(1, ΣPr(C_i)).
 	s1, maxClause := 0.0, 0.0
-	for _, p := range probs {
-		s1 += p
-		if p > maxClause {
-			maxClause = p
+	for _, pr := range p.probs {
+		s1 += pr
+		if pr > maxClause {
+			maxClause = pr
 		}
 	}
-	unionLower := maxClause
-	unionUpper := s1 + slack
-	if unionUpper > 1 {
-		unionUpper = 1
+	p.foLo = maxClause
+	p.foHi = s1 + slack
+	if p.foHi > 1 {
+		p.foHi = 1
+	}
+	return nil
+}
+
+// decide settles p at threshold pfct and returns x's ResultItem exactly as
+// a Mine at pfct reports it. It runs the threshold-dependent half of
+// §IV.B: the Lemma 4.4 checks on the first-order and then the pairwise
+// bounds, and, when neither settles it, the exact inclusion–exclusion or
+// sampled union clamped into the bound sandwich. The pairwise bounds and
+// the union are computed at most once per profile, so replaying a profile
+// at another pfct never repeats them.
+func (m *miner) decide(p *evalProfile, pfct float64) (ResultItem, bool, error) {
+	depth := len(p.x)
+	ri := ResultItem{Items: p.x, FreqProb: p.prF}
+	if p.dead || p.noClauses {
+		m.rec.Span(obs.PhaseBoundCheck, depth, p.boundStart)
+		if p.dead {
+			ri.Method = MethodExact
+			return ri, false, nil
+		}
+		ri.Prob, ri.Lower, ri.Upper, ri.Method = p.prF, p.prF, p.prF, MethodNoClauses
+		return ri, ri.Prob > pfct, nil
 	}
 
+	lo, hi := p.foLo, p.foHi
 	if !m.opts.DisableBounds {
-		if ev, done := m.decideByBounds(prF, unionLower, unionUpper, m.opts.PFCT); done {
-			m.rec.Span(obs.PhaseBoundCheck, depth, boundStart)
-			return ev, nil
+		if accepted, done := m.decideByBounds(&ri, lo, hi, pfct); done {
+			m.rec.Span(obs.PhaseBoundCheck, depth, p.boundStart)
+			return ri, accepted, nil
 		}
 		// Second-order (Lemma 4.4) bounds over the most probable clauses.
-		lo, hi := m.pairwiseBounds(sys, probs, slack)
-		if lo > unionLower {
-			unionLower = lo
+		if !p.pwDone {
+			p.pwLo, p.pwHi = m.pairwiseBounds(p.sys, p.probs, p.slack)
+			p.pwDone = true
 		}
-		if hi < unionUpper {
-			unionUpper = hi
+		if p.pwLo > lo {
+			lo = p.pwLo
 		}
-		unionLower, unionUpper = reconcileBounds(unionLower, unionUpper)
-		if ev, done := m.decideByBounds(prF, unionLower, unionUpper, m.opts.PFCT); done {
-			m.rec.Span(obs.PhaseBoundCheck, depth, boundStart)
-			return ev, nil
+		if p.pwHi < hi {
+			hi = p.pwHi
+		}
+		lo, hi = reconcileBounds(lo, hi)
+		if accepted, done := m.decideByBounds(&ri, lo, hi, pfct); done {
+			m.rec.Span(obs.PhaseBoundCheck, depth, p.boundStart)
+			return ri, accepted, nil
 		}
 	}
-	m.rec.Span(obs.PhaseBoundCheck, depth, boundStart)
+	m.rec.Span(obs.PhaseBoundCheck, depth, p.boundStart)
 
-	// Checking phase: exact inclusion–exclusion when the clause system is
-	// small, the FPRAS sampler otherwise.
-	var union float64
-	method := MethodExact
-	if m.opts.MaxExactClauses >= 0 && len(clauses) <= m.opts.MaxExactClauses {
-		union, err = m.exactUnion(sys, depth)
-		if err != nil {
-			return evaluation{}, err
-		}
-	} else {
-		union, err = m.sampleUnion(sys, m.nodeRNG(x), probs, len(clauses), depth)
-		if err != nil {
-			return evaluation{}, err
-		}
-		method = MethodSampled
+	if err := m.resolveUnion(p); err != nil {
+		return ResultItem{}, false, err
 	}
-	union += slack / 2 // dropped-clause slack, ≤ len(clauses)·1e-15
+	union := p.union + p.slack/2 // dropped-clause slack, ≤ len(clauses)·1e-15
 	// Keep the estimate inside the analytic sandwich.
-	if union < unionLower {
-		union = unionLower
+	if union < lo {
+		union = lo
 	}
-	if union > unionUpper {
-		union = unionUpper
+	if union > hi {
+		union = hi
 	}
-	ev := evaluation{
-		prob:   clamp01(prF - union),
-		lower:  clamp01(prF - unionUpper),
-		upper:  clamp01(prF - unionLower),
-		method: method,
+	ri.Prob = clamp01(p.prF - union)
+	ri.Lower = clamp01(p.prF - hi)
+	ri.Upper = clamp01(p.prF - lo)
+	ri.Method = p.method
+	return ri, ri.Prob > pfct, nil
+}
+
+// resolveUnion is the checking phase: it computes the extension-event
+// union once per profile — exact inclusion–exclusion when the clause
+// system is small, the Karp–Luby ApproxFCP estimator with the node's
+// deterministic seed otherwise — then releases the clauses, which nothing
+// reads after the union.
+func (m *miner) resolveUnion(p *evalProfile) error {
+	if p.unionDone {
+		return nil
 	}
-	ev.accepted = ev.prob > m.opts.PFCT
-	return ev, nil
+	depth := len(p.x)
+	var err error
+	if m.opts.MaxExactClauses >= 0 && len(p.clauses) <= m.opts.MaxExactClauses {
+		p.union, err = m.exactUnion(p.sys, depth)
+		p.method = MethodExact
+	} else {
+		p.union, err = m.sampleUnion(p.sys, m.nodeRNG(p.x), p.probs, len(p.clauses), depth)
+		p.method = MethodSampled
+	}
+	if err != nil {
+		return err
+	}
+	p.unionDone = true
+	m.releaseClauses(p)
+	return nil
+}
+
+// releaseClauses returns p's arena-owned clause tidsets to the miner;
+// borrowed ones are released by the owner of the extension records.
+func (m *miner) releaseClauses(p *evalProfile) {
+	for _, c := range p.clauses {
+		if c.owned {
+			m.putBuf(c.b)
+		}
+	}
+	p.clauses, p.sys, p.probs = nil, nil, nil
 }
 
 // exactUnion resolves the extension-event union by inclusion–exclusion
-// under an exact-union span. Shared by evaluate, the sweep Evaluator's
-// replay path, and the standalone FCP helpers so every caller's checking
-// time lands in the same phase bucket.
+// under an exact-union span.
 func (m *miner) exactUnion(sys *dnf.System, depth int) (float64, error) {
 	t := m.rec.Now()
 	union, err := sys.ExactUnion()
@@ -203,12 +290,6 @@ func (m *miner) karpLuby(sys *dnf.System, rng *poibin.SM64, probs []float64, n, 
 	return union, nil
 }
 
-// decideByBounds applies the Lemma 4.4 pruning rules at the given
-// threshold: reject when the upper bound on Pr_FC cannot exceed pfct,
-// accept when the lower bound already does, and report "not done"
-// otherwise. The threshold is a parameter (rather than read from opts)
-// because the sweep Evaluator replays the same bounds against tighter
-// thresholds than the base run's.
 // reconcileBounds intersects the first-order and pairwise union intervals.
 // Both contain the true union analytically, so an empty intersection can
 // only be float rounding noise of a few ulps (the de Caen lower bound and
@@ -222,19 +303,32 @@ func reconcileBounds(lo, hi float64) (float64, float64) {
 	return lo, hi
 }
 
-func (m *miner) decideByBounds(prF, unionLower, unionUpper, pfct float64) (evaluation, bool) {
-	fcLower := clamp01(prF - unionUpper)
-	fcUpper := clamp01(prF - unionLower)
-	if fcUpper <= pfct {
+// decideByBounds applies the Lemma 4.4 pruning rules to the union interval
+// [unionLower, unionUpper] at threshold pfct: reject when the upper bound
+// on Pr_FC cannot exceed pfct, accept when the lower bound already does.
+// When the bounds settle it, ri (whose FreqProb is Pr_F) receives the
+// Pr_FC sandwich with its midpoint as the estimate, and done is true.
+func (m *miner) decideByBounds(ri *ResultItem, unionLower, unionUpper, pfct float64) (accepted, done bool) {
+	fcLower := clamp01(ri.FreqProb - unionUpper)
+	fcUpper := clamp01(ri.FreqProb - unionLower)
+	switch {
+	case fcUpper <= pfct:
 		m.stats.BoundRejected++
-		return evaluation{accepted: false, lower: fcLower, upper: fcUpper, prob: (fcLower + fcUpper) / 2, method: MethodBoundRejected}, true
-	}
-	if fcLower > pfct {
+		ri.Method = MethodBoundRejected
+	case fcLower > pfct:
 		m.stats.BoundAccepted++
-		return evaluation{accepted: true, lower: fcLower, upper: fcUpper, prob: (fcLower + fcUpper) / 2, method: MethodBoundAccepted}, true
+		ri.Method, accepted = MethodBoundAccepted, true
+	default:
+		return false, false
 	}
-	return evaluation{}, false
+	ri.Lower, ri.Upper, ri.Prob = fcLower, fcUpper, (fcLower+fcUpper)/2
+	return accepted, true
 }
+
+// clauseChunk is how many uncovered items are intersected per AndBatch
+// call inside buildClauses. Lazy chunking bounds the intersections wasted
+// when an early item proves the candidate dead.
+const clauseChunk = 32
 
 // buildClauses computes the extension events of Definition 4.1 for every
 // item not in X. It returns the clauses with non-negligible probability,
@@ -248,15 +342,10 @@ func (m *miner) decideByBounds(prF, unionLower, unionUpper, pfct float64) (evalu
 // the enumeration never probed — candidate positions below startPos and
 // non-candidate items — pay for an intersection and a Poisson-binomial
 // tail here.
-// clauseChunk is how many uncovered items are intersected per AndBatch
-// call inside buildClauses. Lazy chunking bounds the intersections wasted
-// when an early item proves the candidate dead.
-const clauseChunk = 32
-
 func (m *miner) buildClauses(x itemset.Itemset, tids *bitset.Bitset, count int, exts []extension) (clauses []clause, slack float64, dead bool) {
-	// The clause records live in a per-miner scratch slice; evaluate is
-	// never reentered on one miner, and callers that outlive the next
-	// evaluation (the Evaluator's profiles) clone what they retain.
+	// The clause records live in a per-miner scratch slice; the cascade is
+	// never reentered on one miner, and owned profiles, which outlive the
+	// next evaluation, clone what they retain.
 	clauses = m.clausesBuf[:0]
 
 	// Collect the items with no extension record up front, so their
@@ -412,11 +501,10 @@ func (m *miner) absentFactor(tids, b *bitset.Bitset, x itemset.Itemset, e itemse
 // clauseSystem wraps the kept clauses in the miner's reusable dnf.System
 // plus the probability vector aligned with it. The system, the clause
 // slice, and the probability vector are scratch — valid until the next
-// clauseSystem call on this miner; callers that retain them (the
-// Evaluator's profiles, the FCP helpers) use clauseSystemOwned. The
+// clauseSystem call on this miner; owned profiles use clauseSystemOwned. The
 // subset validation of dnf.NewSystem is skipped: every clause tidset here
 // is an AndInto/AndBatch intersection with tids, a subset by construction.
-func (m *miner) clauseSystem(tids *bitset.Bitset, clauses []clause) (*dnf.System, []float64, error) {
+func (m *miner) clauseSystem(tids *bitset.Bitset, clauses []clause) (*dnf.System, []float64) {
 	bs := m.sysBs[:0]
 	probs := m.sysProbs[:0]
 	for _, c := range clauses {
@@ -426,7 +514,7 @@ func (m *miner) clauseSystem(tids *bitset.Bitset, clauses []clause) (*dnf.System
 	m.sysBs, m.sysProbs = bs, probs
 	m.sysBuf.Reuse(tids, m.probs, m.opts.MinSup, bs)
 	m.sysBuf.TailFn = m.dnfTailFn()
-	return &m.sysBuf, probs, nil
+	return &m.sysBuf, probs
 }
 
 // clauseSystemOwned is clauseSystem with caller-owned storage and the full

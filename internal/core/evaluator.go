@@ -11,11 +11,12 @@ package core
 // clause system, the first-order and Lemma 4.4 pairwise bounds, and the
 // exact or sampled union (seeded per node from (Options.Seed, itemset),
 // DESIGN §8.3) — is independent of pfct. The threshold only selects the
-// stage at which the cascade stops, so replaying the cached stage values
-// against a different pfct reproduces exactly what an independent Mine at
-// that pfct would have computed for the same itemset. Each stage is
-// evaluated lazily and at most once per itemset: candidates settled by the
-// cached bounds never pay for union re-estimation.
+// stage at which the cascade stops, and the Evaluator runs Mine's own
+// cascade (buildProfile and decide, evaluate.go), so replaying the cached
+// stage values against a different pfct reproduces exactly what an
+// independent Mine at that pfct would have computed for the same itemset.
+// Each stage is evaluated lazily and at most once per itemset: candidates
+// settled by the cached bounds never pay for union re-estimation.
 //
 // An Evaluator is not safe for concurrent use (it shares the miner's
 // scratch buffers).
@@ -24,9 +25,7 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/probdata/pfcim/internal/dnf"
 	"github.com/probdata/pfcim/internal/itemset"
-	"github.com/probdata/pfcim/internal/obs"
 	"github.com/probdata/pfcim/internal/uncertain"
 )
 
@@ -35,35 +34,7 @@ import (
 // MineEvaluated.
 type Evaluator struct {
 	m        *miner
-	idx      *uncertain.Index
 	profiles map[string]*evalProfile
-}
-
-// evalProfile caches the pfct-independent checking-cascade state of one
-// itemset. Stages fill lazily: construction computes the frequent
-// probability, the clause system, and the free first-order bounds; the
-// pairwise Lemma 4.4 bounds and the exact/sampled union are only computed
-// when some Evaluate call's threshold needs them.
-type evalProfile struct {
-	x     itemset.Itemset
-	count int
-	prF   float64 // exact frequent probability Pr_F(x)
-
-	dead      bool // some extension always co-occurs: Pr_FC = 0
-	noClauses bool // no extension event possible: Pr_FC = Pr_F
-
-	slack      float64
-	clauses    []clause // sorted by descending probability; nil once released
-	sys        *dnf.System
-	probs      []float64
-	foLo, foHi float64 // first-order union bounds
-
-	pwDone     bool
-	pwLo, pwHi float64 // pairwise (Lemma 4.4) union bounds
-
-	unionDone bool
-	union     float64 // raw exact/sampled union, before slack and clamping
-	method    Method
 }
 
 // NewEvaluator builds a standalone Evaluator over db. opts must carry the
@@ -75,16 +46,11 @@ func NewEvaluator(db *uncertain.DB, opts Options) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := db.Index()
-	m := &miner{
-		opts:     opts,
-		db:       db,
-		probs:    db.Probs(),
-		allItems: idx.Items,
-		itemTids: tidsetsFor(idx, opts.Tidsets),
-		rec:      opts.Tracer.Recorder(0),
-	}
-	return &Evaluator{m: m, idx: idx, profiles: make(map[string]*evalProfile)}, nil
+	return newEvaluator(newMiner(nil, db, opts)), nil
+}
+
+func newEvaluator(m *miner) *Evaluator {
+	return &Evaluator{m: m, profiles: make(map[string]*evalProfile)}
 }
 
 // MineEvaluated is MineContext plus the per-candidate re-evaluation hook:
@@ -97,8 +63,7 @@ func MineEvaluated(ctx context.Context, db *uncertain.DB, opts Options) (*Result
 	if err != nil {
 		return nil, nil, err
 	}
-	idx := db.Index()
-	return res, &Evaluator{m: m, idx: idx, profiles: make(map[string]*evalProfile)}, nil
+	return res, newEvaluator(m), nil
 }
 
 // Stats returns the cumulative work counters of the wrapped miner,
@@ -116,171 +81,35 @@ func (e *Evaluator) Evaluate(x itemset.Itemset, pfct float64) (ResultItem, bool,
 	if pfct <= 0 || pfct >= 1 {
 		return ResultItem{}, false, fmt.Errorf("core: pfct must be in (0,1), got %v", pfct)
 	}
+	start := e.m.rec.Now()
 	p, err := e.profile(x)
 	if err != nil {
 		return ResultItem{}, false, err
 	}
-	if p.count < e.m.opts.MinSup || p.dead {
-		return ResultItem{}, false, nil
-	}
-	if p.noClauses {
-		ri := ResultItem{Items: p.x, Prob: p.prF, Lower: p.prF, Upper: p.prF, FreqProb: p.prF, Method: MethodNoClauses}
-		return ri, ri.Prob > pfct, nil
-	}
-
-	lo, hi := p.foLo, p.foHi
-	if !e.m.opts.DisableBounds {
-		if ev, done := e.m.decideByBounds(p.prF, lo, hi, pfct); done {
-			return p.item(ev), ev.accepted, nil
-		}
-		e.ensurePairwise(p)
-		if p.pwLo > lo {
-			lo = p.pwLo
-		}
-		if p.pwHi < hi {
-			hi = p.pwHi
-		}
-		lo, hi = reconcileBounds(lo, hi)
-		if ev, done := e.m.decideByBounds(p.prF, lo, hi, pfct); done {
-			return p.item(ev), ev.accepted, nil
-		}
-	}
-	if err := e.ensureUnion(p); err != nil {
-		return ResultItem{}, false, err
-	}
-	union := p.union + p.slack/2
-	if union < lo {
-		union = lo
-	}
-	if union > hi {
-		union = hi
-	}
-	ri := ResultItem{
-		Items:    p.x,
-		Prob:     clamp01(p.prF - union),
-		Lower:    clamp01(p.prF - hi),
-		Upper:    clamp01(p.prF - lo),
-		FreqProb: p.prF,
-		Method:   p.method,
-	}
-	return ri, ri.Prob > pfct, nil
+	p.boundStart = start
+	return e.m.decide(p, pfct)
 }
 
-// item renders a bound-settled evaluation as the ResultItem a full Mine
-// would emit.
-func (p *evalProfile) item(ev evaluation) ResultItem {
-	return ResultItem{
-		Items:    p.x,
-		Prob:     ev.prob,
-		Lower:    ev.lower,
-		Upper:    ev.upper,
-		FreqProb: p.prF,
-		Method:   ev.method,
-	}
-}
-
-// profile returns x's cached cascade state, constructing the eager stages
-// (tidset, frequent probability, clause system, first-order bounds) on
-// first sight.
+// profile returns x's cached cascade state, building the pfct-independent
+// stages (tidset, frequent probability, clause system, first-order bounds)
+// on first sight.
 func (e *Evaluator) profile(x itemset.Itemset) (*evalProfile, error) {
 	key := x.Key()
 	if p, ok := e.profiles[key]; ok {
 		return p, nil
 	}
 	m := e.m
-	tids := e.idx.TidsetOf(x)
-	p := &evalProfile{x: x.Clone(), count: tids.Count()}
-	e.profiles[key] = p
-	if p.count < m.opts.MinSup {
-		return p, nil
+	tids := m.db.Index().TidsetOf(x)
+	count := tids.Count()
+	prF := 0.0
+	if count >= m.opts.MinSup {
+		prF = m.tailOf(tids, nil, x, -1)
 	}
-	p.prF = m.tailOf(tids, nil, x, -1)
-	m.stats.Evaluated++
-
-	// The eager cascade stages — clause construction through the free
-	// first-order bounds — are bound-check work, same as in evaluate.
-	boundStart := m.rec.Now()
-	defer func() { m.rec.Span(obs.PhaseBoundCheck, len(x), boundStart) }()
-
-	clauses, slack, dead := m.buildClauses(x, tids, p.count, nil)
-	p.slack, p.dead = slack, dead
-	if dead {
-		return p, nil
-	}
-	if len(clauses) == 0 && slack == 0 {
-		p.noClauses = true
-		return p, nil
-	}
-	// buildClauses returns the miner's scratch slice; the profile outlives
-	// the next evaluation, so it keeps its own copy. (The clause tidsets
-	// themselves are arena sets the profile owns until ensureUnion.)
-	clauses = append([]clause(nil), clauses...)
-	// Mirror evaluate: sort by descending clause probability, then compute
-	// the free first-order bounds in sorted order (the summation order
-	// matters for bit-identity with a direct run).
-	m.sortClauses(clauses)
-	sys, probs, err := m.clauseSystemOwned(tids, clauses)
-	if err != nil {
-		delete(e.profiles, key)
+	p := &evalProfile{}
+	if err := m.buildProfile(p, x.Clone(), tids, count, prF, nil, true); err != nil {
+		m.releaseClauses(p)
 		return nil, err
 	}
-	s1, maxClause := 0.0, 0.0
-	for _, pr := range probs {
-		s1 += pr
-		if pr > maxClause {
-			maxClause = pr
-		}
-	}
-	p.clauses, p.sys, p.probs = clauses, sys, probs
-	p.foLo = maxClause
-	p.foHi = s1 + slack
-	if p.foHi > 1 {
-		p.foHi = 1
-	}
+	e.profiles[key] = p
 	return p, nil
-}
-
-// ensurePairwise computes the Lemma 4.4 pairwise bounds once per profile.
-func (e *Evaluator) ensurePairwise(p *evalProfile) {
-	if p.pwDone {
-		return
-	}
-	t := e.m.rec.Now()
-	p.pwLo, p.pwHi = e.m.pairwiseBounds(p.sys, p.probs, p.slack)
-	e.m.rec.Span(obs.PhaseBoundCheck, len(p.x), t)
-	p.pwDone = true
-}
-
-// ensureUnion resolves the extension-event union once per profile — exact
-// inclusion–exclusion for small clause systems, the Karp–Luby ApproxFCP
-// estimator otherwise, with the node's deterministic sampler seed — then
-// releases the clause bitsets back to the miner arena.
-func (e *Evaluator) ensureUnion(p *evalProfile) error {
-	if p.unionDone {
-		return nil
-	}
-	m := e.m
-	if m.opts.MaxExactClauses >= 0 && len(p.clauses) <= m.opts.MaxExactClauses {
-		u, err := m.exactUnion(p.sys, len(p.x))
-		if err != nil {
-			return err
-		}
-		p.union = u
-		p.method = MethodExact
-	} else {
-		u, err := m.sampleUnion(p.sys, m.nodeRNG(p.x), p.probs, len(p.clauses), len(p.x))
-		if err != nil {
-			return err
-		}
-		p.union = u
-		p.method = MethodSampled
-	}
-	p.unionDone = true
-	for _, c := range p.clauses {
-		if c.owned {
-			m.putBuf(c.b)
-		}
-	}
-	p.clauses, p.sys, p.probs = nil, nil, nil
-	return nil
 }

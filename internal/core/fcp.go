@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"github.com/probdata/pfcim/internal/dnf"
 	"github.com/probdata/pfcim/internal/itemset"
 	"github.com/probdata/pfcim/internal/poibin"
@@ -13,122 +16,79 @@ import (
 // regardless of database size — unlike the possible-world oracle, which is
 // limited to ~26 transactions) and the raw ApproxFCP estimator. The
 // approximation-quality experiment (Fig. 11) measures the estimator
-// against the exact value through these entry points.
+// against the exact value through these entry points. Each builds the
+// itemset's cascade state through a standalone Evaluator, so the clauses,
+// their order and the clause system are exactly those Mine computes.
 
-// fcpContext prepares the clause system of one itemset.
-type fcpContext struct {
-	m      *miner
-	x      itemset.Itemset
-	prF    float64
-	system *dnf.System
-	probs  []float64
-	slack  float64
-	dead   bool
-	count  int
-}
-
-func newFCPContext(db *uncertain.DB, x itemset.Itemset, minSup int) (*fcpContext, error) {
-	opts, err := Options{MinSup: minSup, PFCT: 0.5}.normalize()
+// fcpProfile builds x's cascade state at minSup. The Evaluator's options
+// turn the Lemma 4.4 bound checks off and never choose the sampler, so its
+// Evaluate resolves every itemset by exact inclusion–exclusion.
+func fcpProfile(db *uncertain.DB, x itemset.Itemset, minSup int) (*Evaluator, *evalProfile, error) {
+	e, err := NewEvaluator(db, Options{MinSup: minSup, PFCT: 0.5, DisableBounds: true, MaxExactClauses: math.MaxInt})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	idx := db.Index()
-	m := &miner{
-		opts:     opts,
-		db:       db,
-		probs:    db.Probs(),
-		allItems: idx.Items,
-		itemTids: idx.Tidsets,
-	}
-	tids := idx.TidsetOf(x)
-	count := tids.Count()
-	ctx := &fcpContext{m: m, x: x, count: count}
-	if count < minSup {
-		ctx.prF = 0
-		return ctx, nil
-	}
-	ctx.prF = poibin.Tail(m.probsOf(tids), minSup)
-	clauses, slack, dead := m.buildClauses(x, tids, count, nil)
-	ctx.slack, ctx.dead = slack, dead
-	if dead || len(clauses) == 0 {
-		return ctx, nil
-	}
-	sys, probs, err := m.clauseSystemOwned(tids, clauses)
+	p, err := e.profile(x)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	ctx.system, ctx.probs = sys, probs
-	return ctx, nil
-}
-
-// SamplerActive reports whether estimating this itemset's Pr_FC actually
-// requires Monte-Carlo work: it has at least one non-negligible extension
-// event and is not trivially zero.
-func (c *fcpContext) samplerActive() bool {
-	return !c.dead && c.system != nil
+	return e, p, nil
 }
 
 // ExactFCP computes Pr_FC(x) exactly: Pr_F(x) minus the inclusion–exclusion
 // union of the extension events. It fails if the itemset has more than
 // dnf.ExactUnionLimit non-trivial extension events.
 func ExactFCP(db *uncertain.DB, x itemset.Itemset, minSup int) (float64, error) {
-	ctx, err := newFCPContext(db, x, minSup)
+	e, p, err := fcpProfile(db, x, minSup)
 	if err != nil {
 		return 0, err
 	}
-	if ctx.dead {
-		return 0, nil
-	}
-	if ctx.prF == 0 {
-		return 0, nil
-	}
-	if ctx.system == nil {
-		return clamp01(ctx.prF - ctx.slack/2), nil
-	}
-	union, err := ctx.m.exactUnion(ctx.system, len(x))
+	ri, _, err := e.m.decide(p, e.m.opts.PFCT)
 	if err != nil {
 		return 0, err
 	}
-	return clamp01(ctx.prF - union - ctx.slack/2), nil
+	return ri.Prob, nil
 }
 
 // EstimateFCP runs the ApproxFCP Monte-Carlo estimator (Fig. 2 of the
 // paper) on a single itemset with the given tolerance ε and confidence
-// parameter δ, returning the estimated Pr_FC(x).
+// parameter δ, both in (0,1), returning the estimated Pr_FC(x).
 func EstimateFCP(db *uncertain.DB, x itemset.Itemset, minSup int, eps, delta float64, seed int64) (float64, error) {
-	ctx, err := newFCPContext(db, x, minSup)
+	// Checked here rather than through Options: normalize would turn a 0
+	// into the default instead of rejecting it.
+	if !(eps > 0 && eps < 1) {
+		return 0, fmt.Errorf("core: epsilon must be in (0,1), got %v", eps)
+	}
+	if !(delta > 0 && delta < 1) {
+		return 0, fmt.Errorf("core: delta must be in (0,1), got %v", delta)
+	}
+	e, p, err := fcpProfile(db, x, minSup)
 	if err != nil {
 		return 0, err
 	}
-	if ctx.dead {
+	if p.dead {
 		return 0, nil
 	}
-	if ctx.prF == 0 {
-		return 0, nil
+	if len(p.probs) == 0 {
+		return clamp01(p.prF - p.slack/2), nil
 	}
-	if ctx.system == nil {
-		return clamp01(ctx.prF - ctx.slack/2), nil
-	}
-	n := dnf.SampleSize(len(ctx.probs), eps, delta)
+	n := dnf.SampleSize(len(p.probs), eps, delta)
 	// The estimator's stream is the same splitmix64 generator the miner
 	// uses per node, seeded directly from the caller's seed; the estimate
 	// is ε/δ-bounded regardless of which uniform stream drives it.
-	union, err := ctx.m.karpLuby(ctx.system, poibin.NewSM64(splitmix64(uint64(seed))), ctx.probs, n, len(x))
+	union, err := e.m.karpLuby(p.sys, poibin.NewSM64(splitmix64(uint64(seed))), p.probs, n, len(x))
 	if err != nil {
 		return 0, err
 	}
-	return clamp01(ctx.prF - union - ctx.slack/2), nil
+	return clamp01(p.prF - union - p.slack/2), nil
 }
 
 // SamplerActiveItemset reports whether EstimateFCP on x involves actual
 // sampling (at least one non-negligible extension event). Fig. 11 uses it
 // to select itemsets on which approximation error is observable.
 func SamplerActiveItemset(db *uncertain.DB, x itemset.Itemset, minSup int) (bool, error) {
-	ctx, err := newFCPContext(db, x, minSup)
-	if err != nil {
-		return false, err
-	}
-	return ctx.samplerActive(), nil
+	n, err := ClauseCount(db, x, minSup)
+	return n > 0, err
 }
 
 // ClauseCount returns the number of non-negligible extension events of x —
@@ -136,12 +96,9 @@ func SamplerActiveItemset(db *uncertain.DB, x itemset.Itemset, minSup int) (bool
 // (a single clause's probability is computed, not sampled), so estimation
 // error is only observable for m ≥ 2.
 func ClauseCount(db *uncertain.DB, x itemset.Itemset, minSup int) (int, error) {
-	ctx, err := newFCPContext(db, x, minSup)
+	_, p, err := fcpProfile(db, x, minSup)
 	if err != nil {
 		return 0, err
 	}
-	if ctx.dead || ctx.system == nil {
-		return 0, nil
-	}
-	return len(ctx.probs), nil
+	return len(p.probs), nil
 }

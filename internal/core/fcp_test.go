@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/probdata/pfcim/internal/gen"
 	"github.com/probdata/pfcim/internal/itemset"
 	"github.com/probdata/pfcim/internal/uncertain"
 	"github.com/probdata/pfcim/internal/world"
@@ -121,5 +122,69 @@ func TestClauseCount(t *testing.T) {
 	active, err := SamplerActiveItemset(db, itemset.FromInts(0, 1, 2), 2)
 	if err != nil || !active {
 		t.Errorf("abc should be sampler-active: %v, %v", active, err)
+	}
+}
+
+// TestEstimateFCPRejectsBadTolerance: ε and δ outside (0,1) are errors. A
+// zero used to yield an infinite sample size, no samples, and Pr_F in place
+// of Pr_FC with a nil error.
+func TestEstimateFCPRejectsBadTolerance(t *testing.T) {
+	db := uncertain.PaperExample()
+	abc := itemset.FromInts(0, 1, 2)
+	for _, bad := range []float64{0, -0.1, 1, 1.5, math.NaN()} {
+		if got, err := EstimateFCP(db, abc, 2, bad, 0.1, 1); err == nil {
+			t.Errorf("EstimateFCP(eps=%v) = %v, want an error", bad, got)
+		}
+		if got, err := EstimateFCP(db, abc, 2, 0.1, bad, 1); err == nil {
+			t.Errorf("EstimateFCP(delta=%v) = %v, want an error", bad, got)
+		}
+	}
+	// Pr_FC(abc) = 0.8754 (Example 1.2); Pr_F(abc) = 0.9726 is what the
+	// unvalidated zero-tolerance call returned.
+	got, err := EstimateFCP(db, abc, 2, 0.05, 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got-0.8754) > 0.05 {
+		t.Errorf("EstimateFCP(abc) = %v, want ≈ 0.8754", got)
+	}
+}
+
+// TestExactFCPMatchesMineBeyondOracle: on a database far beyond the
+// possible-world oracle's reach, every itemset Mine resolves by exact
+// inclusion–exclusion must get the same Pr_FC from ExactFCP — with the
+// Lemma 4.4 bounds on (only the candidates they cannot settle reach the
+// exact union) and off (every candidate does).
+func TestExactFCPMatchesMineBeyondOracle(t *testing.T) {
+	db := gen.AssignGaussian(gen.MushroomLike(0.02, 42), 0.5, 0.5, 43)
+	if db.N() <= 26 {
+		t.Fatalf("workload has %d transactions; it must exceed the oracle's limit", db.N())
+	}
+	for _, tc := range []struct {
+		rel           float64
+		disableBounds bool
+	}{{0.1, false}, {0.2, true}} {
+		minSup := AbsoluteMinSup(db.N(), tc.rel)
+		res, err := Mine(db, Options{MinSup: minSup, PFCT: 0.3, Seed: 3, DisableBounds: tc.disableBounds, MaxExactClauses: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := 0
+		for _, ri := range res.Itemsets {
+			if ri.Method != MethodExact {
+				continue
+			}
+			exact++
+			got, err := ExactFCP(db, ri.Items, minSup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-ri.Prob) > 1e-12 {
+				t.Errorf("rel %v, bounds off %v: ExactFCP(%v) = %v, Mine reported %v", tc.rel, tc.disableBounds, ri.Items, got, ri.Prob)
+			}
+		}
+		if exact == 0 {
+			t.Fatalf("rel %v: no exactly resolved itemsets; the comparison is vacuous", tc.rel)
+		}
 	}
 }

@@ -62,11 +62,12 @@ type miner struct {
 	shardCounts []int
 	shardParts  [][]float64
 
-	// Checking-cascade scratch (see evaluate.go): the clause records of the
-	// node under evaluation, the sorter view over them, the uncovered-item
-	// worklist with its batch buffers, and the reusable clause systems.
-	// evaluate is never reentered on one miner, so a single set suffices;
-	// the Evaluator's profiles clone what they retain.
+	// Checking-cascade scratch (see evaluate.go): the profile of the node
+	// under evaluation, its clause records, the sorter view over them, the
+	// uncovered-item worklist with its batch buffers, and the reusable
+	// clause systems. The cascade is never reentered on one miner, so a
+	// single set suffices; owned profiles clone what they retain.
+	evalBuf    evalProfile
 	clausesBuf []clause
 	clauseSort clauseSorter
 	uncovBuf   []itemset.Item
@@ -298,20 +299,9 @@ func mineWithReuse(ctx context.Context, db *uncertain.DB, opts Options, reuse *R
 		return nil, nil, err
 	}
 	start := time.Now()
-	idx := db.Index()
-	m := &miner{
-		opts:     opts,
-		db:       db,
-		probs:    db.Probs(),
-		allItems: idx.Items,
-		itemTids: tidsetsFor(idx, opts.Tidsets),
-		ctx:      ctx,
-		rec:      opts.Tracer.Recorder(0),
-		reuse:    reuse,
-	}
-	candStart := m.rec.Now()
+	m := newMiner(ctx, db, opts)
+	m.reuse = reuse
 	m.buildCandidates()
-	m.rec.Span(obs.PhaseCandidates, 0, candStart)
 
 	switch opts.Search {
 	case BFS:
@@ -322,15 +312,41 @@ func mineWithReuse(ctx context.Context, db *uncertain.DB, opts Options, reuse *R
 	if err != nil {
 		return nil, nil, err
 	}
+	return m.result(start), m, nil
+}
+
+// newMiner is the constructor of every top-level miner — Mine, top-k, the
+// naive baseline, and the standalone Evaluator behind the FCP helpers — so
+// they all honour the same options: the tidset representation, the tracer
+// recorder, and the cancellation context (nil for runs that cannot be
+// cancelled). opts must already be normalized. The work-stealing pool's
+// sub-miners copy their parent instead (scheduler.go).
+func newMiner(ctx context.Context, db *uncertain.DB, opts Options) *miner {
+	idx := db.Index()
+	return &miner{
+		opts:     opts,
+		db:       db,
+		probs:    db.Probs(),
+		allItems: idx.Items,
+		itemTids: tidsetsFor(idx, opts.Tidsets),
+		ctx:      ctx,
+		rec:      opts.Tracer.Recorder(0),
+	}
+}
+
+// result packages the run's itemsets, sorted lexicographically, with its
+// Stats, its options and — when traced — the tracer's phase profile, with
+// the wall time since start accounted as one mining run.
+func (m *miner) result(start time.Time) *Result {
 	sort.Slice(m.results, func(i, j int) bool {
 		return itemset.Compare(m.results[i].Items, m.results[j].Items) < 0
 	})
-	res := &Result{Itemsets: m.results, Stats: m.stats, Options: opts}
-	if opts.Tracer != nil {
-		opts.Tracer.AddMineWall(time.Since(start).Nanoseconds())
-		res.Profile = opts.Tracer.Profile()
+	res := &Result{Itemsets: m.results, Stats: m.stats, Options: m.opts}
+	if tr := m.opts.Tracer; tr != nil {
+		tr.AddMineWall(time.Since(start).Nanoseconds())
+		res.Profile = tr.Profile()
 	}
-	return res, m, nil
+	return res
 }
 
 // tidsetsFor returns the per-item tidsets the run should mine on:
@@ -360,6 +376,7 @@ func tidsetsFor(idx *uncertain.Index, mode TidsetMode) map[itemset.Item]*bitset.
 // pfct cannot occur in any probabilistic frequent closed itemset because
 // Pr_F is anti-monotone and Pr_FC(X) ≤ Pr_F(X).
 func (m *miner) buildCandidates() {
+	defer m.rec.Span(obs.PhaseCandidates, 0, m.rec.Now())
 	// Incremental rounds replay the recorded decision for items no changed
 	// transaction contains: their tidsets hold the same transactions in the
 	// same arrival order, so count, bound, exact tail, and the keep/prune
@@ -593,7 +610,7 @@ func (m *miner) probFCNode(x itemset.Itemset, tids *bitset.Bitset, count int, pr
 		return err
 	}
 	selfNS := m.rec.Now() - nodeStart - childNS
-	ev, err := m.evaluate(x, tids, count, prF, exts)
+	ri, accepted, err := m.evaluate(x, tids, count, prF, exts, m.opts.PFCT)
 	m.releaseExts(depth, exts)
 	m.rec.Node(depth, nodeStart, selfNS)
 	if err != nil {
@@ -601,17 +618,10 @@ func (m *miner) probFCNode(x itemset.Itemset, tids *bitset.Bitset, count int, pr
 	}
 	if m.opts.Trace != nil {
 		m.trace("  evaluate %v: PrFC≈%.4f in [%.4f, %.4f] via %v → accepted=%v",
-			x, ev.prob, ev.lower, ev.upper, ev.method, ev.accepted)
+			x, ri.Prob, ri.Lower, ri.Upper, ri.Method, accepted)
 	}
-	if ev.accepted {
-		m.results = append(m.results, ResultItem{
-			Items:    x.Clone(),
-			Prob:     ev.prob,
-			Lower:    ev.lower,
-			Upper:    ev.upper,
-			FreqProb: prF,
-			Method:   ev.method,
-		})
+	if accepted {
+		m.results = append(m.results, ri)
 	}
 	return nil
 }

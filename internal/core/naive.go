@@ -1,9 +1,9 @@
 package core
 
 import (
-	"sort"
+	"time"
 
-	"github.com/probdata/pfcim/internal/itemset"
+	"github.com/probdata/pfcim/internal/obs"
 	"github.com/probdata/pfcim/internal/pfim"
 	"github.com/probdata/pfcim/internal/uncertain"
 )
@@ -23,36 +23,23 @@ func NaiveMine(db *uncertain.DB, opts Options) (*Result, error) {
 	opts.DisableBounds = true
 	opts.MaxExactClauses = -1
 
+	start := time.Now()
+	m := newMiner(nil, db, opts)
+	candStart := m.rec.Now()
 	pfis := pfim.Mine(db, pfim.Options{MinSup: opts.MinSup, PFT: opts.PFCT})
+	m.rec.Span(obs.PhaseCandidates, 0, candStart)
 
 	idx := db.Index()
-	m := &miner{
-		opts:     opts,
-		db:       db,
-		probs:    db.Probs(),
-		allItems: idx.Items,
-		itemTids: idx.Tidsets,
-	}
 	for _, pfi := range pfis {
 		m.stats.NodesVisited++
 		tids := idx.TidsetOf(pfi.Items)
-		ev, err := m.evaluate(pfi.Items, tids, tids.Count(), pfi.FreqProb, nil)
+		ri, accepted, err := m.evaluate(pfi.Items, tids, tids.Count(), pfi.FreqProb, nil, opts.PFCT)
 		if err != nil {
 			return nil, err
 		}
-		if ev.accepted {
-			m.results = append(m.results, ResultItem{
-				Items:    pfi.Items.Clone(),
-				Prob:     ev.prob,
-				Lower:    ev.lower,
-				Upper:    ev.upper,
-				FreqProb: pfi.FreqProb,
-				Method:   ev.method,
-			})
+		if accepted {
+			m.results = append(m.results, ri)
 		}
 	}
-	sort.Slice(m.results, func(i, j int) bool {
-		return itemset.Compare(m.results[i].Items, m.results[j].Items) < 0
-	})
-	return &Result{Itemsets: m.results, Stats: m.stats, Options: opts}, nil
+	return m.result(start), nil
 }

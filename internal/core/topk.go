@@ -40,15 +40,7 @@ func MineTopKContext(ctx context.Context, db *uncertain.DB, minSup, k int, opts 
 	if k < 1 {
 		return nil, nil
 	}
-	idx := db.Index()
-	m := &miner{
-		opts:     opts,
-		db:       db,
-		probs:    db.Probs(),
-		allItems: idx.Items,
-		itemTids: idx.Tidsets,
-		ctx:      ctx,
-	}
+	m := newMiner(ctx, db, opts)
 	m.buildCandidates()
 
 	h := &resultHeap{}
@@ -129,21 +121,13 @@ func MineTopKContext(ctx context.Context, db *uncertain.DB, minSup, k int, opts 
 			return err
 		}
 		// Evaluate against the current threshold.
-		m.opts.PFCT = threshold()
-		ev, err := m.evaluate(x, tids, count, prF, exts)
+		ri, accepted, err := m.evaluate(x, tids, count, prF, exts, threshold())
 		m.releaseExts(depth, exts)
 		if err != nil {
 			return err
 		}
-		if ev.accepted {
-			heap.Push(h, ResultItem{
-				Items:    x.Clone(),
-				Prob:     ev.prob,
-				Lower:    ev.lower,
-				Upper:    ev.upper,
-				FreqProb: prF,
-				Method:   ev.method,
-			})
+		if accepted {
+			heap.Push(h, ri)
 			if h.Len() > k {
 				heap.Pop(h)
 			}

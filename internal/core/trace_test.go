@@ -195,3 +195,59 @@ func TestTracerChromeExport(t *testing.T) {
 		}
 	}
 }
+
+// TestNaiveAndTopKHonourOptions: NaiveMine and MineTopK build their miner
+// through the same constructor as Mine, so they honour Options.Tracer and
+// Options.Tidsets too.
+func TestNaiveAndTopKHonourOptions(t *testing.T) {
+	db := gen.AssignGaussian(gen.MushroomLike(0.01, 42), 0.5, 0.5, 43)
+	minSup := AbsoluteMinSup(db.N(), 0.3)
+	base := Options{MinSup: minSup, PFCT: 0.5, Seed: 7}
+
+	traced := base
+	traced.Tracer = obs.New()
+	naive, err := NaiveMine(db, traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.Profile == nil || naive.Profile.PhaseWallNS("sampling") == 0 {
+		t.Errorf("traced NaiveMine left no sampling time in its profile: %+v", naive.Profile)
+	}
+
+	tr := obs.New()
+	traced.Tracer = tr
+	top, err := MineTopK(db, minSup, 5, traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := tr.Profile(); p.PhaseWallNS("candidates") == 0 || p.PhaseWallNS("bound-check") == 0 {
+		t.Errorf("traced MineTopK left phases unattributed: %+v", p.Phases)
+	}
+
+	compressed := base
+	compressed.Tidsets = TidsetsCompressed
+	naiveC, err := NaiveMine(db, compressed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topC, err := MineTopK(db, minSup, 5, compressed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range []struct {
+		name      string
+		auto, cmp interface{}
+	}{
+		{"NaiveMine", naive.JSON().Itemsets, naiveC.JSON().Itemsets},
+		{"MineTopK", top, topC},
+	} {
+		a, _ := json.Marshal(pair.auto)
+		c, _ := json.Marshal(pair.cmp)
+		if !bytes.Equal(a, c) {
+			t.Errorf("%s under TidsetsCompressed differs:\n%s\nvs\n%s", pair.name, c, a)
+		}
+	}
+	if len(naive.Itemsets) == 0 || len(top) == 0 {
+		t.Fatalf("vacuous workload: naive %d, top-k %d itemsets", len(naive.Itemsets), len(top))
+	}
+}

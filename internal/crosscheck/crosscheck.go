@@ -244,9 +244,9 @@ func RunInvariants(c Case) error {
 // Invariants checks the oracle-free metamorphic properties of a mining run
 // at opts: result well-formedness and the Lemma 4.4 sandwich, threshold
 // monotonicity in pfct and MinSup, byte-identical determinism across every
-// execution knob (parallelism, split depth, tail memo, tracer), DFS/BFS
-// agreement, and sweep-derived vs independently-mined byte-identity. These
-// hold on databases of any size.
+// execution knob (parallelism, tracer), DFS/BFS agreement, and
+// sweep-derived vs independently-mined byte-identity. These hold on
+// databases of any size.
 func Invariants(db *uncertain.DB, opts core.Options) error {
 	base, err := core.Mine(db, opts)
 	if err != nil {
