@@ -34,7 +34,7 @@
 //
 //	pfcimd -role=worker -addr :9101                      shard worker: holds
 //	                          range slices of registered datasets and
-//	                          answers per-shard tail/clause RPCs under
+//	                          answers per-shard tail-PMF RPCs under
 //	                          /shard/v1/ (plus GET /healthz)
 //	pfcimd -role=coordinator -shard-workers :9101,:9102 -shards 4
 //	                          coordinator: the daemon above, with datasets
@@ -197,9 +197,9 @@ func run() int {
 }
 
 // runWorker serves the shard worker protocol: it holds range slices of the
-// datasets a coordinator places on it and answers per-shard tail and
-// clause-factor RPCs. Workers keep no job state, so shutdown only waits for
-// in-flight requests.
+// datasets a coordinator places on it and answers per-shard tail-PMF RPCs.
+// Workers keep no job state, so shutdown only waits for in-flight
+// requests.
 func runWorker(addr string, logger *slog.Logger, grace time.Duration) int {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

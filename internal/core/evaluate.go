@@ -398,7 +398,7 @@ func (m *miner) buildClauses(x itemset.Itemset, tids *bitset.Bitset, count int, 
 				// Pr_F(X+e) = 0, hence Pr(C_e) = 0.
 				continue
 			}
-			absent, negligible := m.absentFactor(tids, rec.tids, x, e)
+			absent, negligible := m.absentFactor(tids, rec.tids)
 			if negligible {
 				slack += zeroClauseEps // conservative cap on the dropped mass
 				continue
@@ -447,7 +447,7 @@ func (m *miner) buildClauses(x itemset.Itemset, tids *bitset.Bitset, count int, 
 			m.putBuf(b)
 			continue
 		}
-		absent, negligible := m.absentFactor(tids, b, x, e)
+		absent, negligible := m.absentFactor(tids, b)
 		if negligible {
 			slack += zeroClauseEps // conservative cap on the dropped mass
 			m.putBuf(b)
@@ -479,12 +479,11 @@ func (m *miner) uncovBufs(nc int) (dsts, srcs []*bitset.Bitset, counts []int) {
 
 // absentFactor returns Pr(C_e)'s tuple-absence product
 // Π_{T ∈ tids\b}(1−p_T), flagging it as negligible once it falls below
-// zeroClauseEps (the clause is then dropped and accounted as slack). x and e
-// identify the clause (base itemset, extension item) for sharded runs, which
-// fold the product per shard instead (shard.go); unsharded runs ignore them.
-func (m *miner) absentFactor(tids, b *bitset.Bitset, x itemset.Itemset, e itemset.Item) (absent float64, negligible bool) {
+// zeroClauseEps (the clause is then dropped and accounted as slack).
+// Sharded runs fold the product per shard instead (shard.go).
+func (m *miner) absentFactor(tids, b *bitset.Bitset) (absent float64, negligible bool) {
 	if m.sharded() {
-		return m.shardAbsentFactor(tids, b, x, e)
+		return m.shardAbsentFactor(tids, b)
 	}
 	absent = 1.0
 	bitset.ForEachDiff(tids, b, func(tid int) bool {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/probdata/pfcim/internal/bitset"
 	"github.com/probdata/pfcim/internal/dnf"
@@ -298,7 +297,7 @@ func mineWithReuse(ctx context.Context, db *uncertain.DB, opts Options, reuse *R
 	if err != nil {
 		return nil, nil, err
 	}
-	start := time.Now()
+	start := opts.Tracer.Now()
 	m := newMiner(ctx, db, opts)
 	m.reuse = reuse
 	m.buildCandidates()
@@ -336,14 +335,15 @@ func newMiner(ctx context.Context, db *uncertain.DB, opts Options) *miner {
 
 // result packages the run's itemsets, sorted lexicographically, with its
 // Stats, its options and — when traced — the tracer's phase profile, with
-// the wall time since start accounted as one mining run.
-func (m *miner) result(start time.Time) *Result {
+// the wall time since start (a Tracer.Now reading, so wall time and phase
+// spans share one clock) accounted as one mining run.
+func (m *miner) result(start int64) *Result {
 	sort.Slice(m.results, func(i, j int) bool {
 		return itemset.Compare(m.results[i].Items, m.results[j].Items) < 0
 	})
 	res := &Result{Itemsets: m.results, Stats: m.stats, Options: m.opts}
 	if tr := m.opts.Tracer; tr != nil {
-		tr.AddMineWall(time.Since(start).Nanoseconds())
+		tr.AddMineWall(tr.Now() - start)
 		res.Profile = tr.Profile()
 	}
 	return res

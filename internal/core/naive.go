@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"github.com/probdata/pfcim/internal/obs"
 	"github.com/probdata/pfcim/internal/pfim"
 	"github.com/probdata/pfcim/internal/uncertain"
@@ -23,7 +21,7 @@ func NaiveMine(db *uncertain.DB, opts Options) (*Result, error) {
 	opts.DisableBounds = true
 	opts.MaxExactClauses = -1
 
-	start := time.Now()
+	start := opts.Tracer.Now()
 	m := newMiner(nil, db, opts)
 	candStart := m.rec.Now()
 	pfis := pfim.Mine(db, pfim.Options{MinSup: opts.MinSup, PFT: opts.PFCT})

@@ -55,27 +55,23 @@ func (t TidsetMode) String() string {
 	return "auto"
 }
 
-// ShardKernel abstracts where per-shard tail PMFs and clause factors are
-// computed when Options.Shards ≥ 2. The miner asks the kernel for all N
-// per-shard quantities of one logical evaluation at once; the kernel returns
-// them in shard order. The implementation is the shard.Client session,
-// which runs the computation on shard workers over RPC; it must compute the
-// canonical per-shard arithmetic — poibin.PMFTrunc over the shard's
-// probability slice, and the ascending-tid clause-absence partial product
-// with the shard.NegligibleEps early exit — so that delegating never
-// changes results. x is the base
-// itemset and e an extension item: the target itemset is x plus e when
-// e ≥ 0, x alone when e < 0 (x may be nil only with e ≥ 0, meaning the
-// single-item set {e}). Returning ok = false declines the call; the miner
-// then computes the quantity locally, bit-identically. Implementations must
-// be safe for concurrent use by parallel miner workers.
+// ShardKernel abstracts where per-shard tail PMFs are computed when
+// Options.Shards ≥ 2. The miner asks the kernel for all N per-shard PMFs of
+// one tail at once; the kernel returns them in shard order. The
+// implementation is the shard.Client session, which runs poibin.PMFTrunc
+// over each shard's probability slice on the shard workers, so delegating
+// never changes results. Clause absence products are not delegated: the
+// miner folds them per shard itself (shard.go). Returning ok = false
+// declines the call; the miner then computes the tail locally,
+// bit-identically. Implementations must be safe for concurrent use by
+// parallel miner workers.
 type ShardKernel interface {
 	// TailPMFs returns each shard's truncated-at-k support PMF of the
-	// target itemset, in shard order.
+	// target itemset, in shard order. x is the base itemset and e an
+	// extension item: the target is x plus e when e ≥ 0, x alone when
+	// e < 0 (x may be nil only with e ≥ 0, meaning the single-item set
+	// {e}).
 	TailPMFs(x itemset.Itemset, e itemset.Item, k int) ([][]float64, bool)
-	// ClauseFactors returns each shard's partial of the Lemma 4.4 clause
-	// absence product Π (1−p_T) over tids(x)\tids(x+e), in shard order.
-	ClauseFactors(x itemset.Itemset, e itemset.Item) ([]float64, bool)
 }
 
 // Options configures a mining run. MinSup and PFCT are required; the
@@ -149,12 +145,12 @@ type Options struct {
 	Shards int
 
 	// ShardKernel, when non-nil and Shards ≥ 2, delegates per-shard tail
-	// and clause computation (the service layer installs the RPC-backed
-	// shard.Client session here). The kernel performs the same canonical
-	// arithmetic the inline sharded path performs, so installing one never
-	// changes results — it is a pure execution knob, cleared by Canonical.
-	// A kernel may decline a call (ok = false), in which case the miner
-	// computes the quantity locally, bit-identically.
+	// PMFs (the service layer installs the RPC-backed shard.Client session
+	// here). The kernel performs the same canonical arithmetic the inline
+	// sharded path performs, so installing one never changes results — it
+	// is a pure execution knob, cleared by Canonical. A kernel may decline
+	// a call (ok = false), in which case the miner computes the tail
+	// locally, bit-identically.
 	ShardKernel ShardKernel
 
 	// Trace, when non-nil, receives a line-per-event log of the DFS

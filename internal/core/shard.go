@@ -5,16 +5,15 @@ package core
 // every Poisson-binomial tail becomes a fold of per-range truncated PMFs
 // (poibin.PMFTrunc merged by poibin.ConvolvePMF in shard order), while every
 // Lemma 4.4 clause absence product becomes a fold of per-range partial
-// products (shard.FoldFactors semantics). The miner runs this arithmetic
-// inline; when Options.ShardKernel is installed, per-shard quantities for
-// calls that carry an itemset identity are delegated to it instead. Both
-// sides compute the identical float sequences — the same probability
-// subsequences through the same PMFTrunc, the same ascending-tid partial
-// products with the same early exit — so inline and RPC-delegated mining
-// are byte-identical for a fixed shard count. The inline fold stays even
-// with a kernel installed: DNF clause tails are intersections with no
-// itemset identity, so they cannot be delegated and the miner folds them
-// itself.
+// products. The miner runs this arithmetic inline; when Options.ShardKernel
+// is installed, the per-shard tail PMFs of calls that carry an itemset
+// identity are delegated to it instead. Both sides run PMFTrunc over the
+// same per-range probability subsequences, so inline and RPC-delegated
+// mining are byte-identical for a fixed shard count. Clause absence
+// products always fold here: the coordinator holds both tidsets and every
+// p_T, and a product costs far less than the round trip that would ship
+// it. DNF clause tails, intersections with no itemset identity, fold here
+// too.
 
 import (
 	"github.com/probdata/pfcim/internal/bitset"
@@ -89,19 +88,13 @@ func (m *miner) shardTailLocal(b *bitset.Bitset, probs []float64) float64 {
 }
 
 // shardAbsentFactor computes the clause absence product Π (1−p_T) over
-// tids\b as per-shard partial products folded in shard order — exactly
-// shard.FoldFactors over what per-shard evaluators would return: within a
+// tids\b as per-shard partial products folded in shard order: within a
 // shard the partial accumulates in ascending tid order and the scan stops
 // once the partial drops below shard.NegligibleEps; at each boundary the
 // completed partial folds into the running product, which going negligible
 // ends the fold. Trailing shards with no differing tids contribute an exact
 // 1.0 and are skipped.
-func (m *miner) shardAbsentFactor(tids, b *bitset.Bitset, x itemset.Itemset, e itemset.Item) (absent float64, negligible bool) {
-	if kern := m.opts.ShardKernel; kern != nil && x != nil && e >= 0 {
-		if factors, ok := kern.ClauseFactors(x, e); ok {
-			return shard.FoldFactors(factors)
-		}
-	}
+func (m *miner) shardAbsentFactor(tids, b *bitset.Bitset) (absent float64, negligible bool) {
 	l := m.shardLayout()
 	absent = 1.0
 	f := 1.0

@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/probdata/pfcim/internal/bitset"
 	"github.com/probdata/pfcim/internal/itemset"
 	"github.com/probdata/pfcim/internal/obs"
 	"github.com/probdata/pfcim/internal/shard"
@@ -54,17 +58,27 @@ func TestShardsOneCollapses(t *testing.T) {
 // shard count, mining with the inline partition arithmetic and mining with a
 // loopback HTTP shard.Worker produce byte-identical itemsets and stats —
 // the same float sequences flow through the same PMFTrunc/ConvolvePMF fold
-// on both paths, and JSON round-trips float64 exactly.
+// on both paths, and JSON round-trips float64 exactly. It also pins the
+// round-trip count: only tail PMFs cross the wire, one eval RPC per shard
+// per memo-missing tail, while clause absence products fold on the
+// coordinator.
 func TestShardedInlineMatchesWorker(t *testing.T) {
 	for _, db := range []*uncertain.DB{uncertain.PaperExample(), shardTestDB(t)} {
 		for _, n := range []int{2, 4} {
-			opts := Options{MinSup: 2, PFCT: 0.5, Seed: 3, Shards: n}
+			opts := Options{MinSup: 2, PFCT: 0.5, Seed: 3, Shards: n, Parallelism: 1}
 			inline, err := Mine(db, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			srv := httptest.NewServer(shard.NewWorker(nil))
+			var evalRPCs atomic.Int64
+			worker := shard.NewWorker(nil)
+			srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/shard/v1/eval" {
+					evalRPCs.Add(1)
+				}
+				worker.ServeHTTP(rw, r)
+			}))
 			client, err := shard.NewClient([]string{srv.URL}, time.Second, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -82,6 +96,9 @@ func TestShardedInlineMatchesWorker(t *testing.T) {
 			if err != nil {
 				srv.Close()
 				t.Fatal(err)
+			}
+			if got, want := evalRPCs.Load(), int64(n*viaHTTP.Stats.TailEvaluations); got != want {
+				t.Fatalf("n=%d: %d eval RPCs per mine, want Shards × TailEvaluations = %d", n, got, want)
 			}
 			if !reflect.DeepEqual(inline.Itemsets, viaHTTP.Itemsets) {
 				t.Fatalf("n=%d: HTTP itemsets differ from inline:\n%+v\n%+v",
@@ -136,6 +153,107 @@ func TestShardedInlineMatchesWorker(t *testing.T) {
 			if !reflect.DeepEqual(inline.Itemsets, viaTracedPar.Itemsets) {
 				t.Fatalf("n=%d: tracer changed the parallel sharded result", n)
 			}
+		}
+	}
+}
+
+// TestShardAbsentFactorOracle checks the coordinator-side Lemma 4.4
+// absence fold against a direct oracle: per shard range, the ascending-tid
+// product of (1−p_T) over tids\b, stopping once the partial drops below
+// shard.NegligibleEps; then the partials multiplied in shard order, the
+// fold ending as soon as the running product goes negligible. Random
+// tidsets over near-certain tuples drive every exit: inside a shard, at a
+// shard boundary, and the full scan with trailing shards holding no
+// differing tid.
+func TestShardAbsentFactorOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const nTrans = 48
+	trans := make([]uncertain.Transaction, nTrans)
+	for i := range trans {
+		// A mix of ordinary and near-certain tuples: 1−p reaches 1e-3, so
+		// five or six differing tids push a product under 1e-15.
+		p := 0.3 + 0.6*rng.Float64()
+		if rng.Intn(2) == 0 {
+			p = 0.99 + 0.009*rng.Float64()
+		}
+		trans[i] = uncertain.Transaction{Items: itemset.FromInts(0), Prob: p}
+	}
+	db, err := uncertain.NewDB(trans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := db.Probs()
+
+	for _, n := range []int{2, 3, 4} {
+		opts, err := Options{MinSup: 1, PFCT: 0.5, Shards: n}.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newMiner(nil, db, opts)
+		l := shard.Layout{N: n, Total: nTrans}
+		var inShard, atBoundary, trailing int
+		for trial := 0; trial < 2000; trial++ {
+			// tids ⊇ b; the differing tids sit in a random window of
+			// shards so that trailing shards are often empty.
+			tids, b := bitset.New(nTrans), bitset.New(nTrans)
+			hiShard := 1 + rng.Intn(n)
+			_, hiTid := l.Bounds(hiShard - 1)
+			density := rng.Float64()
+			for tid := 0; tid < nTrans; tid++ {
+				if rng.Float64() < 0.7 {
+					tids.Set(tid)
+					if tid >= hiTid || rng.Float64() > density {
+						b.Set(tid)
+					}
+				}
+			}
+
+			// Oracle.
+			factors := make([]float64, n)
+			inShardExit := false
+			for i := 0; i < n; i++ {
+				lo, hi := l.Bounds(i)
+				f := 1.0
+				for tid := lo; tid < hi && f >= shard.NegligibleEps; tid++ {
+					if tids.Test(tid) && !b.Test(tid) {
+						f *= 1 - probs[tid]
+					}
+				}
+				factors[i] = f
+			}
+			want, wantNeg := 1.0, false
+			for i, f := range factors {
+				want *= f
+				if want < shard.NegligibleEps {
+					wantNeg = true
+					if f < shard.NegligibleEps {
+						inShardExit = true
+					}
+					break
+				}
+				if i == n-1 && hiShard < n {
+					trailing++
+				}
+			}
+			switch {
+			case inShardExit:
+				inShard++
+			case wantNeg:
+				atBoundary++
+			}
+
+			got, gotNeg := m.shardAbsentFactor(tids, b)
+			if got != want || gotNeg != wantNeg {
+				t.Fatalf("n=%d trial %d: shardAbsentFactor = %v,%v; oracle %v,%v (partials %v)",
+					n, trial, got, gotNeg, want, wantNeg, factors)
+			}
+			if a, neg := m.absentFactor(tids, b); a != got || neg != gotNeg {
+				t.Fatalf("n=%d trial %d: absentFactor = %v,%v, shard fold %v,%v", n, trial, a, neg, got, gotNeg)
+			}
+		}
+		if inShard == 0 || atBoundary == 0 || trailing == 0 {
+			t.Fatalf("n=%d: exits covered in-shard %d, boundary %d, trailing-empty %d; want all > 0",
+				n, inShard, atBoundary, trailing)
 		}
 	}
 }

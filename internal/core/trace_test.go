@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
+	"sync/atomic"
 	"testing"
 
 	"github.com/probdata/pfcim/internal/gen"
@@ -80,16 +82,25 @@ func TestTracerDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestTracerPhaseSums: the per-phase self times must partition the run —
-// in a serial run their sum approaches the total mine wall time (the
-// uninstrumented remainder is loop glue, sorting, and the profile merge).
-// The tight 5%% acceptance bound is checked by the benchmark harness on the
-// Fig. 5 workload; here a generous corridor keeps the unit test robust on
-// loaded CI machines.
+// steppingClock is a fake tracer clock: every reading advances it by a
+// fixed step, so a traced run's timestamps depend only on the sequence of
+// clock reads, never on the host's scheduling.
+type steppingClock struct{ ns atomic.Int64 }
+
+func (c *steppingClock) now() int64 { return c.ns.Add(1000) }
+
+// TestTracerPhaseSums: the per-phase self times must partition the run. On
+// a stepping fake clock that the miner's wall time and every span read, a
+// serial run's phases are non-negative, sum to at most TotalNS, and the
+// detailed spans nest (any two are disjoint or one contains the other). The
+// real-clock coverage ratio is a property of the host, not the tracer; the
+// benchmark's traced core.phase_coverage gate checks it on a workload large
+// enough to measure.
 func TestTracerPhaseSums(t *testing.T) {
 	_, run, base := tracedWorkload(t)
 	opts := base
-	opts.Tracer = obs.New()
+	clk := &steppingClock{}
+	opts.Tracer = obs.NewWithClock(1<<16, clk.now)
 	res := run(opts)
 	p := res.Profile
 	if p == nil || p.TotalNS <= 0 {
@@ -102,12 +113,35 @@ func TestTracerPhaseSums(t *testing.T) {
 		}
 		sum += ph.WallNS
 	}
-	if sum > p.TotalNS*21/20 {
-		t.Errorf("phase sum %d exceeds total %d by more than 5%%", sum, p.TotalNS)
+	if sum > p.TotalNS {
+		t.Errorf("phase sum %d exceeds total %d", sum, p.TotalNS)
 	}
-	if sum < p.TotalNS/2 {
-		t.Errorf("phase sum %d attributes less than half of total %d", sum, p.TotalNS)
+	if p.SpansDropped != 0 {
+		t.Fatalf("%d spans dropped; the nesting check needs them all", p.SpansDropped)
 	}
+	spans := opts.Tracer.WireSpans().Spans
+	sort.Slice(spans, func(i, j int) bool {
+		if spans[i].StartNS != spans[j].StartNS {
+			return spans[i].StartNS < spans[j].StartNS
+		}
+		return spans[i].DurNS > spans[j].DurNS
+	})
+	var open []obs.SpanWire // enclosing spans, outermost first
+	for _, sp := range spans {
+		if sp.DurNS < 0 {
+			t.Fatalf("negative span %+v", sp)
+		}
+		for len(open) > 0 && open[len(open)-1].StartNS+open[len(open)-1].DurNS <= sp.StartNS {
+			open = open[:len(open)-1]
+		}
+		if len(open) > 0 {
+			if top := open[len(open)-1]; sp.StartNS+sp.DurNS > top.StartNS+top.DurNS {
+				t.Fatalf("span %+v overlaps %+v without nesting", sp, top)
+			}
+		}
+		open = append(open, sp)
+	}
+	t.Logf("%d nested spans; phase sum %d of total %d", len(spans), sum, p.TotalNS)
 	if p.PhaseWallNS("expand") == 0 {
 		t.Error("no expand time attributed")
 	}

@@ -93,7 +93,7 @@ const defaultRingSpans = 1 << 14
 // Profile. Recorder creation is synchronized; recording itself is
 // lock-free (one writer per Recorder).
 type Tracer struct {
-	epoch    time.Time
+	now      func() int64 // nanoseconds since the tracer's epoch
 	ringCap  int
 	mu       sync.Mutex
 	recs     []*Recorder
@@ -108,10 +108,21 @@ func New() *Tracer { return NewWithCapacity(defaultRingSpans) }
 // NewWithCapacity bounds each worker's detailed-span ring to ringSpans
 // spans; 0 keeps aggregate profiling only (no Chrome trace detail).
 func NewWithCapacity(ringSpans int) *Tracer {
+	epoch := time.Now()
+	return NewWithClock(ringSpans, func() int64 { return int64(time.Since(epoch)) })
+}
+
+// NewWithClock is NewWithCapacity on a caller-supplied clock: now returns
+// nanoseconds since the tracer's epoch and must be monotonic and safe for
+// concurrent use. Every timestamp the tracer takes — span bounds, node
+// self times, Tracer.Now, a batch's busy time — reads it, so a test can
+// drive a trace with a stepping fake clock and check its structure
+// exactly.
+func NewWithClock(ringSpans int, now func() int64) *Tracer {
 	if ringSpans < 0 {
 		ringSpans = 0
 	}
-	return &Tracer{epoch: time.Now(), ringCap: ringSpans}
+	return &Tracer{now: now, ringCap: ringSpans}
 }
 
 // Recorder returns the recorder of the given worker id (0 = the serial
@@ -172,7 +183,7 @@ func (r *Recorder) Now() int64 {
 	if r == nil {
 		return 0
 	}
-	return int64(time.Since(r.t.epoch))
+	return r.t.now()
 }
 
 // Span records a region of phase p that started at start (a prior Now
@@ -181,7 +192,7 @@ func (r *Recorder) Span(p Phase, depth int, start int64) {
 	if r == nil {
 		return
 	}
-	end := int64(time.Since(r.t.epoch))
+	end := r.t.now()
 	r.ring(p, depth, start, end-start)
 	r.phaseNS[p] += end - start
 	r.phaseCount[p]++
@@ -196,7 +207,7 @@ func (r *Recorder) Node(depth int, start, selfNS int64) {
 	if r == nil {
 		return
 	}
-	end := int64(time.Since(r.t.epoch))
+	end := r.t.now()
 	r.ring(PhaseExpand, depth, start, end-start)
 	r.phaseNS[PhaseExpand] += selfNS
 	r.phaseCount[PhaseExpand]++

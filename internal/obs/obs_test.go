@@ -30,25 +30,30 @@ func TestNilFastPath(t *testing.T) {
 
 // TestAggregation: phase and depth aggregates must reflect exactly what was
 // recorded, and Node must attribute selfNS (not the full span) to expand.
+// The tracer runs on a fake clock, so every duration is exact.
 func TestAggregation(t *testing.T) {
-	tr := New()
+	var clock int64
+	tr := NewWithClock(defaultRingSpans, func() int64 { return clock })
 	r := tr.Recorder(0)
 
 	start := r.Now()
-	time.Sleep(2 * time.Millisecond)
+	clock += int64(2 * time.Millisecond)
 	r.Span(PhaseCandidates, 0, start)
 
 	nodeStart := r.Now()
-	time.Sleep(time.Millisecond)
+	clock += int64(time.Millisecond)
 	r.Node(3, nodeStart, 500) // self time deliberately smaller than the span
+	if got := tr.Now(); got != clock {
+		t.Fatalf("Tracer.Now() = %d, want the clock's %d", got, clock)
+	}
 
 	tr.AddMineWall(10_000_000)
 	p := tr.Profile()
 	if p.TotalNS != 10_000_000 {
 		t.Fatalf("TotalNS = %d", p.TotalNS)
 	}
-	if ns := p.PhaseWallNS("candidates"); ns < int64(time.Millisecond) {
-		t.Fatalf("candidates wall %dns, want ≥ 1ms", ns)
+	if ns := p.PhaseWallNS("candidates"); ns != int64(2*time.Millisecond) {
+		t.Fatalf("candidates wall %dns, want exactly 2ms", ns)
 	}
 	if ns := p.PhaseWallNS("expand"); ns != 500 {
 		t.Fatalf("expand self time = %dns, want exactly the 500ns attributed", ns)
@@ -61,6 +66,12 @@ func TestAggregation(t *testing.T) {
 	}
 	if _, err := json.Marshal(p); err != nil {
 		t.Fatalf("profile must serialize: %v", err)
+	}
+	b := tr.WireSpans()
+	if b.BusyNS != clock || len(b.Spans) != 2 ||
+		b.Spans[0].StartNS != 0 || b.Spans[0].DurNS != int64(2*time.Millisecond) ||
+		b.Spans[1].StartNS != int64(2*time.Millisecond) || b.Spans[1].DurNS != int64(time.Millisecond) {
+		t.Fatalf("wire spans on the fake clock = %+v", b)
 	}
 }
 

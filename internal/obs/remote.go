@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // Remote span import (DESIGN.md §16): a shard worker runs its kernel calls
 // under its own short-lived tracer and ships the recorded spans back in the
@@ -55,7 +52,7 @@ func (t *Tracer) WireSpans() SpanBatch {
 			b.Spans = append(b.Spans, SpanWire{StartNS: sp.Start, DurNS: sp.Dur, Phase: uint8(sp.Phase), Depth: sp.Depth})
 		}
 	}
-	b.BusyNS = int64(time.Since(t.epoch))
+	b.BusyNS = t.now()
 	return b
 }
 
@@ -77,7 +74,7 @@ func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0
 	}
-	return int64(time.Since(t.epoch))
+	return t.now()
 }
 
 // ImportBatch merges a remote span batch into the tracer under the given

@@ -79,7 +79,7 @@ func (noopObserver) PlacementDone(string, int)   {}
 
 // Client is the coordinator side of the shard protocol: it places range
 // partitions on workers via the consistent-hash ring and evaluates
-// per-shard quantities over RPC with a per-call timeout and one bounded
+// per-shard tail PMFs over RPC with a per-call timeout and one bounded
 // retry.
 type Client struct {
 	hc      *http.Client
@@ -211,11 +211,12 @@ func (c *Client) Placed(dataset string) bool {
 }
 
 // Kernel returns a per-job session implementing core.Options.ShardKernel
-// over the dataset's placement. ctx bounds every RPC of the job; fail (may
-// be nil) is invoked with the structured RPCError when a shard call
-// ultimately fails, so the owning job is cancelled with a meaningful cause
-// while the miner falls back to bit-identical local computation for the
-// in-flight tail.
+// over the dataset's placement: it serves per-shard tail PMFs, the only
+// quantity the coordinator delegates. ctx bounds every RPC of the job;
+// fail (may be nil) is invoked with the structured RPCError when a shard
+// call ultimately fails, so the owning job is cancelled with a meaningful
+// cause while the miner falls back to bit-identical local computation for
+// the in-flight tail.
 func (c *Client) Kernel(ctx context.Context, fail context.CancelCauseFunc, dataset string) (*Session, error) {
 	c.mu.Lock()
 	pl, ok := c.placed[dataset]
@@ -226,8 +227,9 @@ func (c *Client) Kernel(ctx context.Context, fail context.CancelCauseFunc, datas
 	return &Session{c: c, ctx: ctx, fail: fail, dataset: dataset, pl: pl}, nil
 }
 
-// Session delegates one job's per-shard computation. It is safe for
-// concurrent use by parallel miner workers.
+// Session delegates one job's per-shard tail PMFs: one eval RPC per
+// (itemset, extension, shard). It is safe for concurrent use by parallel
+// miner workers.
 type Session struct {
 	c       *Client
 	ctx     context.Context
@@ -244,7 +246,7 @@ type Session struct {
 // tr's timeline by the clock offset derived from each round trip
 // (DESIGN §16). Must be called before mining starts — the field is read
 // without synchronization by the fan-out goroutines. Tracing changes no
-// computed value: responses carry the same PMFs and factors either way.
+// computed value: responses carry the same PMFs either way.
 func (s *Session) SetTracer(tr *obs.Tracer) { s.tracer = tr }
 
 // evalShard performs one traced-or-not eval RPC against shard i's worker.
@@ -301,36 +303,6 @@ func (s *Session) TailPMFs(x itemset.Itemset, e itemset.Item, k int) ([][]float6
 		}
 	}
 	return parts, true
-}
-
-// ClauseFactors fans the (x, e) clause-absence request out per shard and
-// returns the partial products in shard order.
-func (s *Session) ClauseFactors(x itemset.Itemset, e itemset.Item) ([]float64, bool) {
-	n := s.pl.layout.N
-	factors := make([]float64, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := EvalRequest{Dataset: s.dataset, Shard: i, Op: OpFactor, Items: toInts(x), Ext: int(e)}
-			resp, err := s.evalShard(i, req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			factors[i] = resp.Factor
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			s.failWith(&RPCError{Worker: s.pl.workers[i], Dataset: s.dataset, Shard: i, Op: OpFactor, Err: err})
-			return nil, false
-		}
-	}
-	return factors, true
 }
 
 func (s *Session) failWith(err *RPCError) {

@@ -104,22 +104,6 @@ func (e *Evaluator) TailPMF(x itemset.Itemset, ext itemset.Item, k int) []float6
 	return out
 }
 
-// ClauseFactor returns this shard's partial of the Lemma 4.4 clause absence
-// product Π_{T ∈ tids(X)\tids(X+ext)} (1−p_T), scanned in ascending tid
-// order with the same sub-eps early exit as core's absentFactor. A returned
-// value below NegligibleEps therefore means the scan early-exited — exactly
-// the per-shard negligibility signal FoldFactors keys on.
-func (e *Evaluator) ClauseFactor(x itemset.Itemset, ext itemset.Item) float64 {
-	tids := e.tidsetOf(x, -1)
-	sub := e.tidsetOf(x, ext)
-	f := 1.0
-	bitset.ForEachDiff(tids, sub, func(tid int) bool {
-		f *= 1 - e.probs[tid]
-		return f >= NegligibleEps
-	})
-	return f
-}
-
 // tidsetOf resolves the local tidset of x (plus ext when ext ≥ 0).
 func (e *Evaluator) tidsetOf(x itemset.Itemset, ext itemset.Item) *bitset.Bitset {
 	if ext >= 0 {

@@ -3,20 +3,21 @@
 // the Poisson-binomial support distribution of an itemset convolves exactly
 // across a partition of the transaction space, and the Lemma 4.4 clause
 // absence products factor across the same partition — so per-shard
-// coefficient vectors and clause factors computed on separate machines
-// merge at a coordinator with zero approximation.
+// coefficient vectors computed on separate machines merge at a coordinator
+// with zero approximation. The coordinator folds the clause absence
+// products itself, per shard range: it holds both tidsets and every p_T.
 //
 // The package has three layers:
 //
-//   - Layout and the pure merge functions (TailParts, FoldFactors): the
-//     canonical range partition and the exact fold order. core's in-memory
-//     sharded path and the distributed path both go through these, which is
-//     what makes the two bit-identical.
+//   - Layout and the pure merge function TailParts: the canonical range
+//     partition and the exact fold order. core's in-memory sharded path
+//     and the distributed path both go through these, which is what makes
+//     the two bit-identical.
 //   - Evaluator: the per-shard state a worker holds — the slice database,
 //     its vertical index, and a shard-local memo of truncated PMFs.
 //   - Ring, Worker, Client: consistent-hash dataset placement, the worker
-//     HTTP surface, and the coordinator-side kernel that delegates tail and
-//     clause computation over RPC.
+//     HTTP surface, and the coordinator-side kernel that delegates tail
+//     PMFs over RPC.
 package shard
 
 import (
@@ -27,9 +28,9 @@ import (
 )
 
 // NegligibleEps mirrors core's zeroClauseEps: a clause absence product below
-// this is negligible, the clause is dropped and accounted as slack. Workers
-// early-exit their per-shard scan at the same threshold, which is sound
-// because every further factor is ≤ 1.
+// this is negligible, the clause is dropped and accounted as slack. The
+// sharded fold early-exits its per-shard scan at the same threshold, which
+// is sound because every further factor is ≤ 1.
 const NegligibleEps = 1e-15
 
 // Layout is the deterministic range partition of a dataset's transaction
@@ -89,24 +90,6 @@ func TailParts(s *poibin.Scratch, parts [][]float64, k int) float64 {
 		s.ReleasePMF(acc)
 	}
 	return tail
-}
-
-// FoldFactors multiplies per-shard clause absence factors in shard order,
-// reporting the product as negligible once it falls below NegligibleEps.
-// A worker that early-exited its scan returns a sub-eps partial, which
-// drives the fold below eps at that shard — so the negligible verdict is
-// identical whether the scan ran locally or remotely. The product value is
-// only consumed when not negligible, where every shard scan completed and
-// the factor sequence is exactly the local one.
-func FoldFactors(factors []float64) (absent float64, negligible bool) {
-	absent = 1
-	for _, f := range factors {
-		absent *= f
-		if absent < NegligibleEps {
-			return absent, true
-		}
-	}
-	return absent, false
 }
 
 // CheckLayout validates a layout against a dataset size.

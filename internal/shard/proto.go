@@ -29,16 +29,18 @@ type PlaceResponse struct {
 	Hash    string `json:"hash"`
 }
 
-// Eval ops.
-const (
-	OpPMF    = "pmf"    // truncated tail coefficient vector
-	OpFactor = "factor" // Lemma 4.4 clause absence partial
-)
+// OpPMF is the one eval op: the truncated tail coefficient vector of one
+// shard. Workers reject any other op with a 400, so a coordinator that
+// still asks for something else (such as the retired "factor" op, the
+// Lemma 4.4 clause absence partial the coordinator now folds itself)
+// fails its job with an RPCError instead of reading a zero value.
+const OpPMF = "pmf"
 
-// EvalRequest asks a worker for one per-shard quantity of the itemset
-// Items (+Ext when Ext ≥ 0). Trace asks the worker to run the evaluation
-// under its own phase-span tracer and return the recorded spans — pure
-// observability, the computed values are identical either way.
+// EvalRequest asks a worker for one shard's truncated-at-K support PMF of
+// the itemset Items (+Ext when Ext ≥ 0). Op must be OpPMF. Trace asks the
+// worker to run the evaluation under its own phase-span tracer and return
+// the recorded spans — pure observability, the computed values are
+// identical either way.
 type EvalRequest struct {
 	Dataset string `json:"dataset"`
 	Shard   int    `json:"shard"`
@@ -49,7 +51,7 @@ type EvalRequest struct {
 	Trace   bool   `json:"trace,omitempty"`
 }
 
-// EvalResponse carries the requested quantity plus this call's evaluation
+// EvalResponse carries the requested PMF plus this call's evaluation
 // accounting (1/0 deltas, so the coordinator can aggregate exact totals).
 // When the request asked for tracing, Spans holds the worker-side phase
 // spans with timestamps relative to the handler start and BusyNS the
@@ -57,7 +59,6 @@ type EvalRequest struct {
 // RPC round trip (DESIGN §16) and merges them into the job's tracer.
 type EvalResponse struct {
 	PMF      []float64      `json:"pmf,omitempty"`
-	Factor   float64        `json:"factor"`
 	Evals    int64          `json:"evals"`
 	MemoHits int64          `json:"memo_hits"`
 	BusyNS   int64          `json:"busy_ns,omitempty"`

@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,8 +88,8 @@ func testDB(t *testing.T) *uncertain.DB {
 	return db
 }
 
-// TestEvaluatorAgainstDirect: a shard evaluator's tail PMF and clause factor
-// must equal computing the same quantities directly on the slice.
+// TestEvaluatorAgainstDirect: a shard evaluator's tail PMF must equal
+// computing it directly on the slice.
 func TestEvaluatorAgainstDirect(t *testing.T) {
 	db := testDB(t)
 	l := Layout{N: 2, Total: db.N()}
@@ -101,13 +104,10 @@ func TestEvaluatorAgainstDirect(t *testing.T) {
 
 		// Direct: gather probs of {0,1} within [lo,hi) in ascending order.
 		var probs []float64
-		var f float64 = 1
 		for tid := lo; tid < hi; tid++ {
 			items := db.Transaction(tid).Items
 			if items.Contains(0) && items.Contains(1) {
 				probs = append(probs, db.Prob(tid))
-			} else if items.Contains(0) {
-				f *= 1 - db.Prob(tid)
 			}
 		}
 		var s poibin.Scratch
@@ -122,10 +122,6 @@ func TestEvaluatorAgainstDirect(t *testing.T) {
 			}
 		}
 		s.ReleasePMF(want)
-
-		if gf := ev.ClauseFactor(x, ext); gf != f {
-			t.Fatalf("shard %d: clause factor %v, want %v", i, gf, f)
-		}
 
 		// Memo: a repeated call serves the identical vector and counts a hit.
 		if again := ev.TailPMF(x, ext, 2); &again[0] != &got[0] {
@@ -161,18 +157,6 @@ func TestTailPartsMatchesWhole(t *testing.T) {
 	}
 }
 
-func TestFoldFactors(t *testing.T) {
-	if got, neg := FoldFactors([]float64{0.5, 0.5}); neg || got != 0.25 {
-		t.Errorf("FoldFactors(0.5,0.5) = %v,%v", got, neg)
-	}
-	if _, neg := FoldFactors([]float64{0.5, 1e-16}); !neg {
-		t.Error("sub-eps shard factor must be negligible")
-	}
-	if got, neg := FoldFactors(nil); neg || got != 1 {
-		t.Errorf("empty fold = %v,%v, want 1,false", got, neg)
-	}
-}
-
 // TestWorkerClientRoundTrip places a dataset on two httptest workers and
 // checks that remote evaluation returns exactly the local evaluator's
 // values (JSON round-trips float64 bit-exactly).
@@ -205,10 +189,6 @@ func TestWorkerClientRoundTrip(t *testing.T) {
 	if !ok || len(parts) != shards {
 		t.Fatalf("TailPMFs ok=%v len=%d", ok, len(parts))
 	}
-	factors, ok := sess.ClauseFactors(x, 1)
-	if !ok || len(factors) != shards {
-		t.Fatalf("ClauseFactors ok=%v len=%d", ok, len(factors))
-	}
 	l := Layout{N: shards, Total: db.N()}
 	for i := 0; i < shards; i++ {
 		ev, err := NewEvaluator(db, l, i)
@@ -223,9 +203,6 @@ func TestWorkerClientRoundTrip(t *testing.T) {
 			if parts[i][j] != want[j] {
 				t.Fatalf("shard %d: wire PMF[%d] = %v, local %v (not bit-exact)", i, j, parts[i][j], want[j])
 			}
-		}
-		if wf := ev.ClauseFactor(x, 1); factors[i] != wf {
-			t.Fatalf("shard %d: wire factor %v, local %v", i, factors[i], wf)
 		}
 	}
 
@@ -395,10 +372,6 @@ func TestSessionTracedEvalImportsWorkerSpans(t *testing.T) {
 	if !ok {
 		t.Fatal("traced TailPMFs failed")
 	}
-	factors, ok := sess.ClauseFactors(x, 1)
-	if !ok {
-		t.Fatal("traced ClauseFactors failed")
-	}
 
 	// Byte-identity against the local evaluator, exactly as the untraced
 	// round-trip test checks.
@@ -414,14 +387,11 @@ func TestSessionTracedEvalImportsWorkerSpans(t *testing.T) {
 				t.Fatalf("shard %d: traced PMF[%d] = %v, local %v", i, j, parts[i][j], want[j])
 			}
 		}
-		if wf := ev.ClauseFactor(x, 1); factors[i] != wf {
-			t.Fatalf("shard %d: traced factor %v, local %v", i, factors[i], wf)
-		}
 	}
 
-	// 2 ops × 2 shards = 4 remote spans, all bound-check, attributed to the
-	// placement's worker addresses (the ring may have put both shards on
-	// one worker).
+	// One tail PMF per shard = 2 remote spans, all bound-check, attributed
+	// to the placement's worker addresses (the ring may have put both
+	// shards on one worker).
 	p := tr.Profile()
 	var remoteSpans int64
 	seen := map[string]bool{}
@@ -440,8 +410,8 @@ func TestSessionTracedEvalImportsWorkerSpans(t *testing.T) {
 			t.Errorf("remote worker %s has Worker=%d, want -1", w.Label, w.Worker)
 		}
 	}
-	if remoteSpans != 4 {
-		t.Errorf("remote spans = %d, want 4", remoteSpans)
+	if remoteSpans != shards {
+		t.Errorf("remote spans = %d, want %d", remoteSpans, shards)
 	}
 	owners := map[string]bool{}
 	c.mu.Lock()
@@ -502,6 +472,68 @@ func TestTraceIDHeaderReachesWorker(t *testing.T) {
 		if h != "job-42" {
 			t.Errorf("RPC %d carried trace header %q, want job-42", i, h)
 		}
+	}
+}
+
+// TestWorkerRejectsUnknownOp: the worker serves tail PMFs only. Any other
+// op — including "factor", the clause-absence partial older coordinators
+// asked for — is a 400 with a JSON error body, never a 200 carrying a zero
+// value the coordinator could mistake for a negligible clause.
+func TestWorkerRejectsUnknownOp(t *testing.T) {
+	db := testDB(t)
+	srv := httptest.NewServer(NewWorker(nil))
+	defer srv.Close()
+	c, err := NewClient([]string{srv.URL}, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Place(context.Background(), "t", db, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"factor", "", "PMF"} {
+		body, _ := json.Marshal(EvalRequest{Dataset: "t", Op: op, Items: []int{0}, Ext: 1, K: 2})
+		resp, err := http.Post(srv.URL+"/shard/v1/eval", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		decErr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("op %q: status %d, want 400", op, resp.StatusCode)
+		}
+		if decErr != nil || !strings.Contains(e.Error, "unknown op") {
+			t.Errorf("op %q: error body %+v (decode %v), want an unknown-op error", op, e, decErr)
+		}
+		// Through the client the rejection is an error, which a session
+		// turns into the job-failing RPCError.
+		var out EvalResponse
+		if err := c.call(context.Background(), srv.URL, "/shard/v1/eval",
+			EvalRequest{Dataset: "t", Op: op, Items: []int{0}, Ext: 1, K: 2}, &out); err == nil ||
+			!strings.Contains(err.Error(), "status 400") {
+			t.Errorf("op %q: client call error %v, want status 400", op, err)
+		}
+	}
+}
+
+// TestWorkerRejectsOversizedEval: an eval body beyond the fixed cap is
+// refused with a structured 413 before it is decoded.
+func TestWorkerRejectsOversizedEval(t *testing.T) {
+	items := make([]int, maxEvalBody/2)
+	body, _ := json.Marshal(EvalRequest{Dataset: "t", Op: OpPMF, Items: items, K: 2})
+	if len(body) <= maxEvalBody {
+		t.Fatalf("test body %d bytes does not exceed the %d-byte cap", len(body), maxEvalBody)
+	}
+	// Served in-process: over a real connection the server lingers before
+	// closing on an unread oversized body, which only slows the test.
+	rec := httptest.NewRecorder()
+	NewWorker(nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/v1/eval", bytes.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", rec.Code)
+	}
+	var e errorResponse
+	if err := json.NewDecoder(rec.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Fatalf("error body %+v (decode %v), want a JSON error", e, err)
 	}
 }
 

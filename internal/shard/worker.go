@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -21,11 +22,16 @@ const TraceHeader = "X-Pfcim-Trace"
 // RPC records exactly one span, so a small ring suffices.
 const workerTraceRing = 8
 
+// maxEvalBody caps an eval request body. A well-formed request is an
+// itemset of at most a few thousand item ids plus a handful of scalars;
+// anything larger is refused with a 413 before it is decoded.
+const maxEvalBody = 1 << 20
+
 // Worker is the HTTP surface of a shard worker: it accepts range-partition
-// slices at placement time and serves per-shard tail PMFs and clause
-// factors to the coordinator. One Worker can hold slices of many datasets
-// (keyed dataset/shard); evaluation on one slot is serialized, different
-// slots evaluate concurrently.
+// slices at placement time and serves per-shard tail PMFs to the
+// coordinator. One Worker can hold slices of many datasets (keyed
+// dataset/shard); evaluation on one slot is serialized, different slots
+// evaluate concurrently.
 type Worker struct {
 	log   *slog.Logger
 	mux   *http.ServeMux
@@ -105,8 +111,17 @@ func (w *Worker) handlePlace(rw http.ResponseWriter, req *http.Request) {
 
 func (w *Worker) handleEval(rw http.ResponseWriter, req *http.Request) {
 	var er EvalRequest
-	if err := json.NewDecoder(req.Body).Decode(&er); err != nil {
-		writeShardError(rw, http.StatusBadRequest, fmt.Errorf("decoding eval: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(rw, req.Body, maxEvalBody)).Decode(&er); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeShardError(rw, code, fmt.Errorf("decoding eval: %w", err))
+		return
+	}
+	if er.Op != OpPMF {
+		writeShardError(rw, http.StatusBadRequest, fmt.Errorf("unknown op %q", er.Op))
 		return
 	}
 	w.mu.Lock()
@@ -121,8 +136,8 @@ func (w *Worker) handleEval(rw http.ResponseWriter, req *http.Request) {
 
 	// When the coordinator asks for a trace, the evaluation runs under a
 	// short-lived per-request tracer whose spans ship back in the response.
-	// Both eval ops are shard-side halves of the coordinator's bound check,
-	// so they carry PhaseBoundCheck at the itemset's enumeration depth —
+	// A tail PMF is the shard-side half of the coordinator's bound check,
+	// so it carries PhaseBoundCheck at the itemset's enumeration depth —
 	// mirroring how the inline kernel attributes the same work.
 	var tr *obs.Tracer
 	var rec *obs.Recorder
@@ -139,16 +154,7 @@ func (w *Worker) handleEval(rw http.ResponseWriter, req *http.Request) {
 	evals0, hits0 := slot.eval.Evals, slot.eval.MemoHits
 	var resp EvalResponse
 	start := rec.Now()
-	switch er.Op {
-	case OpPMF:
-		resp.PMF = slot.eval.TailPMF(x, ext, er.K)
-	case OpFactor:
-		resp.Factor = slot.eval.ClauseFactor(x, ext)
-	default:
-		slot.mu.Unlock()
-		writeShardError(rw, http.StatusBadRequest, fmt.Errorf("unknown op %q", er.Op))
-		return
-	}
+	resp.PMF = slot.eval.TailPMF(x, ext, er.K)
 	rec.Span(obs.PhaseBoundCheck, len(er.Items), start)
 	resp.Evals = slot.eval.Evals - evals0
 	resp.MemoHits = slot.eval.MemoHits - hits0
