@@ -6,11 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/probdata/pfcim/internal/gen"
 	"github.com/probdata/pfcim/internal/itemset"
+	"github.com/probdata/pfcim/internal/obs"
 	"github.com/probdata/pfcim/internal/uncertain"
 )
 
@@ -136,14 +138,30 @@ func TestParallelismInvariantResults(t *testing.T) {
 func TestMineCancelParallel(t *testing.T) {
 	raw := gen.MushroomLike(0.03, 42)
 	db := gen.AssignGaussian(raw, 0.5, 0.5, 43)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The tracer's clock triggers the cancellation: the miner reads it at
+	// every enumeration node, so canceling on the cancelAt-th reading lands
+	// inside the tree however fast the host mines, and an uncanceled run
+	// reads it far more often than that.
+	const cancelAt = 2000
+	var reads, canceledAt atomic.Int64
+	now := func() int64 {
+		n := reads.Add(1)
+		if n == cancelAt {
+			canceledAt.Store(time.Now().UnixNano())
+			cancel()
+		}
+		return n
+	}
 	opts := Options{
-		MinSup:      4, // low support: a run that takes seconds uncanceled
+		MinSup:      4, // low support: a deep tree
 		PFCT:        0.5,
 		Seed:        7,
 		Parallelism: 4,
+		Tracer:      obs.NewWithClock(0, now),
 	}
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	var (
 		res *Result
@@ -153,19 +171,17 @@ func TestMineCancelParallel(t *testing.T) {
 		defer close(done)
 		res, err = MineContext(ctx, db, opts)
 	}()
-	time.Sleep(20 * time.Millisecond) // let workers get into the tree
-	cancel()
-	start := time.Now()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("canceled parallel mine did not return")
 	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Errorf("cancellation took %v; workers should abort at the next node", waited)
-	}
 	if err == nil {
-		t.Fatalf("canceled mine returned %d itemsets and no error", len(res.Itemsets))
+		t.Fatalf("mine returned %d itemsets and no error after %d clock reads (cancel at %d)",
+			len(res.Itemsets), reads.Load(), cancelAt)
+	}
+	if waited := time.Since(time.Unix(0, canceledAt.Load())); waited > 5*time.Second {
+		t.Errorf("cancellation took %v; workers should abort at the next node", waited)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error = %v, want context.Canceled", err)

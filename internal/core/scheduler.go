@@ -42,9 +42,9 @@ type task struct {
 type scheduler struct {
 	workers []*worker
 
-	pending int64 // atomic: tasks queued or running
-	idle    int32 // atomic: workers currently out of local work
-	stop    int32 // atomic: set on the first error; queued tasks drain unrun
+	pending atomic.Int64 // tasks queued or running
+	idle    int32        // atomic: workers currently out of local work
+	stop    int32        // atomic: set on the first error; queued tasks drain unrun
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -114,7 +114,7 @@ type worker struct {
 // incremented before the task becomes visible so the pool can never look
 // drained while work is in flight.
 func (w *worker) push(t task) {
-	atomic.AddInt64(&w.sched.pending, 1)
+	w.sched.pending.Add(1)
 	w.mu.Lock()
 	w.deque = append(w.deque, t)
 	w.mu.Unlock()
@@ -182,7 +182,7 @@ func (w *worker) hunt() (task, bool) {
 				return t, true
 			}
 		}
-		if atomic.LoadInt64(&s.pending) == 0 {
+		if s.pending.Load() == 0 {
 			return task{}, false
 		}
 		s.waitChange(seen)
@@ -197,7 +197,7 @@ func (w *worker) execute(t task) {
 			s.abort(err)
 		}
 	}
-	if atomic.AddInt64(&s.pending, -1) == 0 {
+	if s.pending.Add(-1) == 0 {
 		s.bump()
 	}
 }

@@ -77,7 +77,7 @@ func (cs *CondSampler) Reset(probs []float64, k int) error {
 		row[0] = 1
 		for r := 1; r <= k; r++ {
 			succ := next[r-1]
-			row[r] = p*succ + (1-p)*next[r]
+			row[r] = float64(p*succ) + float64((1-p)*next[r])
 			if denom := row[r]; denom > 0 {
 				pone[r*n+i] = p * next[r-1] / denom
 			} else {

@@ -7,12 +7,13 @@ import "math"
 // A sliding window adds and evicts one transaction at a time, and the
 // per-item tail Pr[S ≥ min_sup] it needs is exactly the absorbing bin of the
 // truncated PMF that PMFTrunc builds. Folding one success probability in is
-// the same O(k) DP step leafPMF runs per tuple (UpdatePMF below is
-// bit-identical to re-running the DP with the tuple appended, pinned by
-// TestUpdatePMFMatchesPMFTrunc). Removing one is polynomial deconvolution:
-// the DP step is linear in the old coefficients, so it inverts to a
-// forward or backward O(k) recurrence — but the inversion divides by q = 1-p
-// (or by p), which amplifies rounding when the pivot is small and loses
+// the same O(k) DP step leafPMF runs per tuple — both call foldTuple — so
+// UpdatePMF below is bit-identical to re-running the DP with the tuple
+// appended (TestUpdatePMFMatchesPMFTrunc and FuzzTailKernels pin this).
+// Removing one is polynomial deconvolution: the DP step is linear in the
+// old coefficients, so it inverts to a forward or backward O(k) recurrence
+// — but the inversion divides by q = 1-p (or by p), which amplifies
+// rounding when the pivot is small and loses
 // information entirely for p = 1 under truncation (the absorbing bin has
 // forgotten how much mass sat strictly above k). Deconvolve therefore
 // self-checks by re-convolving its candidate and reports ok=false when the
@@ -55,23 +56,11 @@ func UpdatePMF(v []float64, p float64, k int) []float64 {
 	if k <= 0 {
 		return v
 	}
-	q := 1 - p
-	L := len(v) - 1
-	if L < k {
+	if len(v)-1 < k {
 		v = append(v, 0)
-		L++
 	}
-	top := L
-	if L == k {
-		// Absorbing bin: mass at or above k stays there regardless of the
-		// new tuple, plus the inflow from exactly k-1 successes.
-		v[L] += v[L-1] * p
-		top = L - 1
-	}
-	for c := top; c >= 1; c-- {
-		v[c] = v[c]*q + v[c-1]*p
-	}
-	v[0] *= q
+	L := len(v) - 1
+	foldTuple(v, L, p, L == k)
 	return v
 }
 
@@ -110,18 +99,18 @@ func Deconvolve(v []float64, n int, p float64, k int) ([]float64, bool) {
 			// Backward: w[n-1] = v[n]/p; v[c+1] = w[c]*p + w[c+1]*q.
 			w[n-1] = v[n] / p
 			for c := n - 2; c >= 0; c-- {
-				w[c] = (v[c+1] - w[c+1]*q) / p
+				w[c] = (v[c+1] - float64(w[c+1]*q)) / p
 			}
-			if !plausiblePMF(w) || !closeAbs(v[0], w[0]*q) {
+			if !plausiblePMF(w) || !closeAbs(v[0], float64(w[0]*q)) {
 				return nil, false
 			}
 		} else {
 			// Forward: w[0] = v[0]/q; v[c] = w[c]*q + w[c-1]*p.
 			w[0] = v[0] / q
 			for c := 1; c < n; c++ {
-				w[c] = (v[c] - w[c-1]*p) / q
+				w[c] = (v[c] - float64(w[c-1]*p)) / q
 			}
-			if !plausiblePMF(w) || !closeAbs(v[n], w[n-1]*p) {
+			if !plausiblePMF(w) || !closeAbs(v[n], float64(w[n-1]*p)) {
 				return nil, false
 			}
 		}
@@ -148,10 +137,10 @@ func Deconvolve(v []float64, n int, p float64, k int) ([]float64, bool) {
 	w := make([]float64, k+1)
 	w[0] = v[0] / q
 	for c := 1; c < k; c++ {
-		w[c] = (v[c] - w[c-1]*p) / q
+		w[c] = (v[c] - float64(w[c-1]*p)) / q
 	}
 	// Absorbing bin inverse of UpdatePMF's v[k] += v[k-1]*p.
-	w[k] = v[k] - w[k-1]*p
+	w[k] = v[k] - float64(w[k-1]*p)
 	if !plausiblePMF(w) {
 		return nil, false
 	}
@@ -198,14 +187,14 @@ func closeAbs(a, b float64) bool {
 func roundtripCloses(w, v []float64, p float64, k int) bool {
 	q := 1 - p
 	// Mirror UpdatePMF on an absorbing-length vector without mutating w.
-	prev := w[0] * q
+	prev := float64(w[0] * q)
 	if !closeAbs(prev, v[0]) {
 		return false
 	}
 	for c := 1; c < k; c++ {
-		if !closeAbs(w[c]*q+w[c-1]*p, v[c]) {
+		if !closeAbs(float64(w[c]*q)+float64(w[c-1]*p), v[c]) {
 			return false
 		}
 	}
-	return closeAbs(w[k]+w[k-1]*p, v[k])
+	return closeAbs(w[k]+float64(w[k-1]*p), v[k])
 }

@@ -110,9 +110,9 @@ func (s *Scratch) TailKernel(probs []float64, k int, kern Kernel) float64 {
 }
 
 // tailDP runs the absorbing-truncated DP in dist (len k+1, contents
-// overwritten). Three bitwise-exact reductions keep the inner loop short;
-// logical cell c lives at dist[c-off] and the absorbing ≥ k bucket is the
-// scalar acc.
+// overwritten). Two bitwise-exact reductions keep the band of live cells
+// short, and the band itself is one shared sweep; logical cell c lives at
+// dist[c-off] and the absorbing ≥ k bucket is the scalar acc.
 //
 //   - Certain tuples (p = 1) shift the distribution by one. The generic
 //     recurrence dist[c]·0 + dist[c−1]·1 is an exact move in IEEE
@@ -124,13 +124,14 @@ func (s *Scratch) TailKernel(probs []float64, k int, kern Kernel) float64 {
 //     the loop floor rises as the scan nears the end. Skipped cells are
 //     never read again: round i reads one cell below its write floor,
 //     which is exactly round i−1's floor.
-//   - Walking downward, dist[c−1] is the next iteration's dist[c]; the
-//     load is carried across iterations.
+//   - The band is one sweepDown (sweep.go), which updates four or eight
+//     cells per instruction on CPUs that can; its vector body rounds each
+//     cell exactly as the scalar recurrence does.
 //
 // None of the three changes the sequence of rounded multiply-adds that
 // reaches the absorbing bucket, so the result is bit-identical to the
-// naive recurrence (the crosscheck suites and the bench-stat comparison
-// both pin this).
+// naive recurrence (TestTailDPMatchesReference, FuzzTailKernels and the
+// crosscheck suites pin this).
 func tailDP(dist []float64, probs []float64, k int) float64 {
 	for i := range dist {
 		dist[i] = 0
@@ -156,7 +157,7 @@ func tailDP(dist []float64, probs []float64, k int) float64 {
 		}
 		q := 1 - p
 		if hi == k {
-			acc += dist[k-1-off] * p // absorb into ≥ k
+			acc += float64(dist[k-1-off] * p) // absorb into ≥ k
 		}
 		top := hi
 		if top > k-1 {
@@ -168,37 +169,7 @@ func tailDP(dist []float64, probs []float64, k int) float64 {
 		if cLo <= off {
 			cLo = off + 1
 		}
-		if pTop, pLo := top-off, cLo-off; pTop >= pLo {
-			// Walk downward so each cell still holds the previous round.
-			// The recurrence dist[c] ← dist[c]·q + dist[c−1]·p has no
-			// arithmetic loop-carried dependency (each cell reads only
-			// previous-round values), so a 4-way unroll — same two
-			// multiplies and one add per cell, untouched order — exposes
-			// the instruction-level parallelism the rolled loop serializes
-			// behind its carried load.
-			pc := pTop
-			cur := dist[pc]
-			for ; pc >= pLo+3; pc -= 4 {
-				// Constant indices into a five-cell window let one slice
-				// check stand in for the nine per-element bounds checks
-				// the open-coded indices would incur.
-				w := dist[pc-4 : pc+1]
-				b := w[3]
-				c := w[2]
-				d := w[1]
-				e := w[0]
-				w[4] = cur*q + b*p
-				w[3] = b*q + c*p
-				w[2] = c*q + d*p
-				w[1] = d*q + e*p
-				cur = e
-			}
-			for ; pc >= pLo; pc-- {
-				below := dist[pc-1]
-				dist[pc] = cur*q + below*p
-				cur = below
-			}
-		}
+		sweepDown(dist, cLo-off, top-off, q, p)
 		if lo <= off {
 			dist[0] *= q
 		}
@@ -310,8 +281,10 @@ func (s *Scratch) mergeTrees(left, right []float64, k int) []float64 {
 // min(La+Lb, k)+1, overwritten), lumping mass at or above index k into
 // out[k] when out reaches that far. The i-ascending, j-ascending summation
 // order is part of the kernel's definition — it makes the result
-// deterministic across runs. Skipping zero terms is exact: adding a·0
-// to a non-negative partial sum reproduces it bit-for-bit.
+// deterministic across runs. Each row splits at top: the cells below it take
+// one product each (an axpy, whose cells are independent), and the products
+// from top on are absorbed into out[top] in j order. Skipping zero terms is
+// exact: adding a·0 to a non-negative partial sum reproduces it bit-for-bit.
 func convMerge(out, a, b []float64, k int) {
 	for i := range out {
 		out[i] = 0
@@ -321,22 +294,18 @@ func convMerge(out, a, b []float64, k int) {
 		if ai == 0 {
 			continue
 		}
-		base := i
-		if base+len(b)-1 <= top {
-			// Fast path: no truncation in this row.
-			row := out[base : base+len(b)]
-			for j, bj := range b {
-				row[j] += ai * bj
-			}
-			continue
+		n := 0 // row cells strictly below top
+		if i < top {
+			n = min(len(b), top-i)
+			axpy(out[i:i+n], b, ai)
 		}
-		for j, bj := range b {
-			idx := base + j
-			if idx > top {
-				idx = top
-			}
-			out[idx] += ai * bj
+		// One serial chain of rounded adds; a register accumulator keeps
+		// a store-to-load round trip out of every link.
+		acc := out[top]
+		for _, bj := range b[n:] {
+			acc += float64(ai * bj)
 		}
+		out[top] = acc
 	}
 	// Absorbed bins accumulate rounded products and may drift an ulp above
 	// 1; clamp so downstream monotonicity invariants hold.
@@ -360,17 +329,24 @@ func leafPMF(v []float64, probs []float64, k int) {
 		if hi < L {
 			hi++
 		}
-		q := 1 - p
-		top := hi
-		if absorb && hi == L {
-			v[L] += v[L-1] * p
-			top = L - 1
-		}
-		for c := top; c >= 1; c-- {
-			v[c] = v[c]*q + v[c-1]*p
-		}
-		v[0] *= q
+		foldTuple(v, hi, p, absorb && hi == L)
 	}
+}
+
+// foldTuple folds one Bernoulli(p) tuple into the PMF cells v[:hi+1]. When
+// absorb is set, v[hi] is the ≥ k bucket: it keeps its mass and gains the
+// inflow from exactly hi−1 successes. leafPMF and UpdatePMF both step
+// through here, which is what makes an incrementally grown PMF bit-identical
+// to a from-scratch PMFTrunc.
+func foldTuple(v []float64, hi int, p float64, absorb bool) {
+	q := 1 - p
+	top := hi
+	if absorb {
+		v[hi] += float64(v[hi-1] * p)
+		top = hi - 1
+	}
+	sweepDown(v, 1, top, q, p)
+	v[0] *= q
 }
 
 // getBuf returns a float vector with capacity ≥ size from the freelist,

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// refTailDP is the pre-kernel-overhaul Tail implementation, kept verbatim as
-// the bitwise oracle for the DP path.
+// refTailDP is the pre-kernel-overhaul Tail implementation, kept as the
+// bitwise oracle for the DP path; its products are wrapped in float64(…) so
+// no platform fuses them into a multiply-add the production code avoids.
 func refTailDP(probs []float64, k int) float64 {
 	n := len(probs)
 	switch {
@@ -25,14 +26,14 @@ func refTailDP(probs []float64, k int) float64 {
 		}
 		q := 1 - p
 		if hi == k {
-			dist[k] += dist[k-1] * p
+			dist[k] += float64(dist[k-1] * p)
 		}
 		top := hi
 		if top > k-1 {
 			top = k - 1
 		}
 		for c := top; c >= 1; c-- {
-			dist[c] = dist[c]*q + dist[c-1]*p
+			dist[c] = float64(dist[c]*q) + float64(dist[c-1]*p)
 		}
 		dist[0] *= q
 	}
@@ -233,5 +234,52 @@ func TestScratchConvAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state conv allocated %v times per run, want 0", allocs)
+	}
+}
+
+// refConvMerge is the textbook absorbing-truncated convolution: every
+// product a[i]·b[j], i ascending then j ascending, added into cell
+// min(i+j, top). It is the reference the row-split convMerge must match.
+func refConvMerge(out, a, b []float64) {
+	for i := range out {
+		out[i] = 0
+	}
+	top := len(out) - 1
+	for i := range a {
+		for j := range b {
+			out[min(i+j, top)] += float64(a[i] * b[j])
+		}
+	}
+	if out[top] > 1 {
+		out[top] = 1
+	}
+}
+
+// TestConvMergeMatchesTextbook: convMerge's per-row axpy plus in-order
+// absorption must reproduce the textbook convolution bit for bit, for
+// truncated and untruncated outputs, rows with zero coefficients, and
+// single-cell operands.
+func TestConvMergeMatchesTextbook(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var s Scratch
+	for trial := 0; trial < 3000; trial++ {
+		k := 1 + rng.Intn(80)
+		a := s.PMFTrunc(randProbs(rng, rng.Intn(100), true), k)
+		b := s.PMFTrunc(randProbs(rng, rng.Intn(100), true), k)
+		if rng.Intn(4) == 0 {
+			a[rng.Intn(len(a))] = 0
+		}
+		got := s.ConvolvePMF(a, b, k)
+		want := make([]float64, len(got))
+		refConvMerge(want, a, b)
+		for c := range want {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("trial %d k=%d len(a)=%d len(b)=%d cell %d: got %v want %v",
+					trial, k, len(a), len(b), c, got[c], want[c])
+			}
+		}
+		s.ReleasePMF(a)
+		s.ReleasePMF(b)
+		s.ReleasePMF(got)
 	}
 }

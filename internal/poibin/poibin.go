@@ -6,6 +6,11 @@
 // approximation (the accelerated model of related work [23]), and
 // conditional sampling of the underlying Bernoulli vector given
 // "sum ≥ k", which the ApproxFCP Monte-Carlo estimator requires.
+//
+// Every product that feeds an addition is wrapped in an explicit float64(…)
+// conversion. The Go spec lets some architectures fuse x*y + z into one
+// multiply-add, which rounds differently; the conversion forbids that, so
+// every platform computes the same bits (sweep.go explains why that matters).
 package poibin
 
 import (
@@ -25,7 +30,7 @@ func Mean(probs []float64) float64 {
 func Variance(probs []float64) float64 {
 	s := 0.0
 	for _, p := range probs {
-		s += p * (1 - p)
+		s += float64(p * (1 - p))
 	}
 	return s
 }
@@ -68,7 +73,7 @@ func PMF(probs []float64) []float64 {
 	for i, p := range probs {
 		q := 1 - p
 		for c := i + 1; c >= 1; c-- {
-			pmf[c] = pmf[c]*q + pmf[c-1]*p
+			pmf[c] = float64(pmf[c]*q) + float64(pmf[c-1]*p)
 		}
 		pmf[0] *= q
 	}
