@@ -513,12 +513,14 @@ func (m *miner) clauseSystem(tids *bitset.Bitset, clauses []clause) (*dnf.System
 	m.sysBs, m.sysProbs = bs, probs
 	m.sysBuf.Reuse(tids, m.probs, m.opts.MinSup, bs)
 	m.sysBuf.TailFn = m.dnfTailFn()
+	m.sysBuf.Sampler = &m.sampler
 	return &m.sysBuf, probs
 }
 
 // clauseSystemOwned is clauseSystem with caller-owned storage and the full
 // dnf.NewSystem validation, for callers whose clause system outlives the
-// next evaluation.
+// next evaluation. It still samples with the miner's Karp–Luby state: the
+// union is resolved on this miner, one profile at a time.
 func (m *miner) clauseSystemOwned(tids *bitset.Bitset, clauses []clause) (*dnf.System, []float64, error) {
 	bs := make([]*bitset.Bitset, len(clauses))
 	probs := make([]float64, len(clauses))
@@ -531,6 +533,7 @@ func (m *miner) clauseSystemOwned(tids *bitset.Bitset, clauses []clause) (*dnf.S
 		return nil, nil, fmt.Errorf("core: building clause system: %w", err)
 	}
 	sys.TailFn = m.dnfTailFn()
+	sys.Sampler = &m.sampler
 	return sys, probs, nil
 }
 

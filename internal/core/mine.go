@@ -77,6 +77,9 @@ type miner struct {
 	sysProbs   []float64
 	sysBuf     dnf.System
 	subBuf     dnf.System
+	// sampler is the Karp–Luby working state every clause system of this
+	// miner samples with, owned ones included.
+	sampler dnf.Sampler
 
 	// tailMemo caches exact Poisson-binomial tails by tidset content: dense
 	// data makes distinct enumeration nodes produce identical intersections
@@ -322,15 +325,37 @@ func mineWithReuse(ctx context.Context, db *uncertain.DB, opts Options, reuse *R
 // sub-miners copy their parent instead (scheduler.go).
 func newMiner(ctx context.Context, db *uncertain.DB, opts Options) *miner {
 	idx := db.Index()
+	itemTids := tidsetsFor(idx, opts.Tidsets)
 	return &miner{
 		opts:     opts,
 		db:       db,
 		probs:    db.Probs(),
-		allItems: idx.Items,
-		itemTids: tidsetsFor(idx, opts.Tidsets),
+		allItems: supportedItems(idx.Items, itemTids, opts.MinSup),
+		itemTids: itemTids,
 		ctx:      ctx,
 		rec:      opts.Tracer.Recorder(0),
 	}
+}
+
+// supportedItems returns the items whose tidsets hold at least minSup
+// transactions, in order. No other item can be a candidate or give any
+// itemset a clause of nonzero probability (an extension's support is at
+// most the item's own), so the miner never looks at them. items itself is
+// returned when every item qualifies.
+func supportedItems(items itemset.Itemset, tids map[itemset.Item]*bitset.Bitset, minSup int) itemset.Itemset {
+	for i, e := range items {
+		if tids[e].Count() >= minSup {
+			continue
+		}
+		kept := append(itemset.Itemset(nil), items[:i]...)
+		for _, e := range items[i+1:] {
+			if tids[e].Count() >= minSup {
+				kept = append(kept, e)
+			}
+		}
+		return kept
+	}
+	return items
 }
 
 // result packages the run's itemsets, sorted lexicographically, with its

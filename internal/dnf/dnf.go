@@ -40,19 +40,22 @@ type System struct {
 	// constantly on dense data); nil falls back to poibin.Tail. Any
 	// implementation must return values bit-identical to poibin.Tail.
 	TailFn func(b *bitset.Bitset, probs []float64) float64
+	// Sampler, when non-nil, is the Karp–Luby working state KarpLuby uses
+	// instead of the System's own.
+	Sampler *Sampler
 
 	probsBuf   []float64      // scratch for probsOf
 	interBuf   *bitset.Bitset // scratch for PairProb intersections
 	sumsClause []float64      // scratch for ComputeSumsReuse
 	sumsPair   [][]float64
 	sumsFlat   []float64
-	kl         klScratch // KarpLuby working state
+	own        Sampler // KarpLuby working state when Sampler is nil
 }
 
 // Reuse repoints s at a new clause system while keeping its internal
-// scratch buffers (and TailFn); the miner calls it once per evaluated
-// node so the hot path allocates no per-node System state. Callers are
-// responsible for the NewSystem invariants (clauses ⊆ base).
+// scratch buffers (and TailFn and Sampler); the miner calls it once per
+// evaluated node so the hot path allocates no per-node System state.
+// Callers are responsible for the NewSystem invariants (clauses ⊆ base).
 func (s *System) Reuse(base *bitset.Bitset, probs []float64, minSup int, clauses []*bitset.Bitset) {
 	s.Base, s.Probs, s.MinSup, s.Clauses = base, probs, minSup, clauses
 }

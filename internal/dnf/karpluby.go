@@ -8,10 +8,12 @@ import (
 	"github.com/probdata/pfcim/internal/poibin"
 )
 
-// klScratch is the Karp–Luby working state a System keeps across calls, so
-// the sampler tables, clause counts and escape masks are rebuilt in place
-// for every clause of every node.
-type klScratch struct {
+// Sampler is the Karp–Luby working state — the conditional sampler table,
+// clause counts and escape masks — rebuilt in place for every clause of
+// every call. The zero value is ready to use. A System samples with its own
+// unless its Sampler field names one: a caller that holds many Systems but
+// samples them one at a time shares one Sampler among them.
+type Sampler struct {
 	cs     poibin.CondSampler
 	cum    []float64
 	counts []int
@@ -38,7 +40,10 @@ type klScratch struct {
 // the one drawing every world in full would produce. Samples whose verdict
 // is known before any draw (clause 0, which no earlier clause can beat; a
 // clause some earlier clause contains; a zero-probability clause, which
-// never scores) skip their worlds wholesale.
+// never scores) skip their worlds wholesale, and build the sampler table
+// only if the skip needs it (poibin.CondSampler.ResetSkip). The others are
+// walked by poibin.CondSampler.CountCovers, eight worlds at a time where
+// the CPU allows.
 //
 // clauseProbs must be the exact Pr(C_i) values (e.g. Sums.Clause). The
 // estimator is unbiased; with nSamples = SampleSize(m, ε, δ) it is an
@@ -63,7 +68,10 @@ func (s *System) KarpLuby(rng *poibin.SM64, clauseProbs []float64, nSamples int)
 	// Allocate each clause its multinomial share of the sample budget up
 	// front so that one conditional sampler per clause serves all of that
 	// clause's draws.
-	kl := &s.kl
+	kl := s.Sampler
+	if kl == nil {
+		kl = &s.own
+	}
 	counts := kl.multinomial(rng, nSamples, clauseProbs, z)
 
 	hits := 0
@@ -72,39 +80,46 @@ func (s *System) KarpLuby(rng *poibin.SM64, clauseProbs []float64, nSamples int)
 		if ni == 0 {
 			continue
 		}
-		cs, probs := &kl.cs, s.probsOf(s.Clauses[i])
-		if err := cs.Reset(probs, s.MinSup); err != nil {
+		probs := s.probsOf(s.Clauses[i])
+		// Only a sample whose verdict is open needs a walk. A
+		// zero-probability clause is never the smallest satisfied clause
+		// of nonzero probability; with no earlier clause of nonzero
+		// probability every sample scores; and if some earlier clause
+		// contains B_i, no world escapes it.
+		var want, masks, union []uint64
+		walk, score := false, false
+		if clauseProbs[i] != 0 {
+			if want = kl.earlier(i, clauseProbs); want == nil {
+				score = true
+			} else {
+				if !escapesBuilt {
+					kl.escapes(s, clauseProbs)
+					escapesBuilt = true
+				}
+				masks, union = kl.clauseMasks(s, i, len(probs))
+				walk = slices.Equal(union, want)
+			}
+		}
+		cs := &kl.cs
+		var err error
+		if walk {
+			err = cs.Reset(probs, s.MinSup)
+		} else {
+			err = cs.ResetSkip(probs, s.MinSup)
+		}
+		if err != nil {
 			// Pr(C_i) > 0 guarantees the constraint is satisfiable; a
 			// failure here indicates an inconsistent clause system.
 			return 0, fmt.Errorf("dnf: clause %d: %w", i, err)
 		}
-		if clauseProbs[i] == 0 {
-			// Never the smallest satisfied clause of nonzero probability.
+		if !walk {
 			cs.Skip(rng, ni)
-			continue
-		}
-		want := kl.earlier(i, clauseProbs)
-		if want == nil {
-			// No earlier clause can be satisfied: every sample scores.
-			cs.Skip(rng, ni)
-			hits += ni
-			continue
-		}
-		if !escapesBuilt {
-			s.escapes(clauseProbs)
-			escapesBuilt = true
-		}
-		masks, union := s.clauseMasks(i, len(probs))
-		if !slices.Equal(union, want) {
-			// Some earlier clause contains B_i: no world escapes it.
-			cs.Skip(rng, ni)
-			continue
-		}
-		for k := 0; k < ni; k++ {
-			if cs.Covers(rng, masks, want, union) {
-				hits++
+			if score {
+				hits += ni
 			}
+			continue
 		}
+		hits += cs.CountCovers(rng, masks, want, union, ni)
 	}
 	est := z * float64(hits) / float64(nSamples)
 	if est > 1 {
@@ -116,12 +131,12 @@ func (s *System) KarpLuby(rng *poibin.SM64, clauseProbs []float64, nSamples int)
 // escapeWords is the number of escape words per tid: one bit per clause.
 func (s *System) escapeWords() int { return (len(s.Clauses) + 63) / 64 }
 
-// escapes fills the per-tid escape table: bit j of tid t's words is set
-// iff Pr(C_j) > 0 and t ∈ Base\B_j, i.e. a world with t present escapes
-// C_j.
-func (s *System) escapes(clauseProbs []float64) {
+// escapes fills kl's per-tid escape table for s: bit j of tid t's words
+// is set iff Pr(C_j) > 0 and t ∈ Base\B_j, i.e. a world with t present
+// escapes C_j.
+func (kl *Sampler) escapes(s *System, clauseProbs []float64) {
 	ew := s.escapeWords()
-	esc := growWords(s.kl.esc, s.Base.Len()*ew)
+	esc := growWords(kl.esc, s.Base.Len()*ew)
 	for t := range esc {
 		esc[t] = 0
 	}
@@ -135,25 +150,25 @@ func (s *System) escapes(clauseProbs []float64) {
 			return true
 		})
 	}
-	s.kl.esc = esc
+	kl.esc = esc
 }
 
 // clauseMasks gathers, for each of clause i's n positions (its tids in
 // ascending order), the escape bits of the clauses before i: w = ⌈i/64⌉
 // words per position. The returned union (w words) is their OR; once
-// checked, KarpLuby hands it to Covers as scratch.
-func (s *System) clauseMasks(i, n int) (masks, union []uint64) {
+// checked, KarpLuby hands it to CountCovers as scratch.
+func (kl *Sampler) clauseMasks(s *System, i, n int) (masks, union []uint64) {
 	ew, w := s.escapeWords(), (i+63)/64
 	last := ^uint64(0)
 	if i%64 != 0 {
 		last = 1<<(i%64) - 1
 	}
-	masks = growWords(s.kl.masks, n*w)
-	union = growWords(s.kl.union, w)
+	masks = growWords(kl.masks, n*w)
+	union = growWords(kl.union, w)
 	for j := range union {
 		union[j] = 0
 	}
-	esc, p := s.kl.esc, 0
+	esc, p := kl.esc, 0
 	s.Clauses[i].ForEach(func(tid int) bool {
 		dst := masks[p*w : p*w+w]
 		copy(dst, esc[tid*ew:tid*ew+w])
@@ -164,13 +179,13 @@ func (s *System) clauseMasks(i, n int) (masks, union []uint64) {
 		p++
 		return true
 	})
-	s.kl.masks, s.kl.union = masks, union
+	kl.masks, kl.union = masks, union
 	return masks, union
 }
 
 // earlier returns the bits of the clauses before i with nonzero
 // probability, ⌈i/64⌉ words in kl's scratch, or nil if there are none.
-func (kl *klScratch) earlier(i int, clauseProbs []float64) []uint64 {
+func (kl *Sampler) earlier(i int, clauseProbs []float64) []uint64 {
 	want := growWords(kl.want, (i+63)/64)
 	kl.want = want
 	found := false
@@ -200,7 +215,7 @@ func growWords(b []uint64, n int) []uint64 {
 // multinomial splits n samples across clauses proportionally to
 // clauseProbs/z by drawing each sample's clause index independently. The
 // returned counts live in kl's scratch.
-func (kl *klScratch) multinomial(rng *poibin.SM64, n int, clauseProbs []float64, z float64) []int {
+func (kl *Sampler) multinomial(rng *poibin.SM64, n int, clauseProbs []float64, z float64) []int {
 	m := len(clauseProbs)
 	if cap(kl.cum) < m {
 		kl.cum, kl.counts = make([]float64, m), make([]int, m)

@@ -21,23 +21,35 @@ import (
 // i = 0…n−1 with one table load and one uniform draw per step. A sampler
 // is reusable: Reset rebuilds it in place over its own buffers, so one
 // sampler serves every clause of every node.
+//
+// The table is built only in the band a walk can reach (DESIGN §13): a walk
+// that owes r successes at position i has r ≥ k−i, because it started at k
+// and pays at most one success per step, and r ≤ n−i, because a cell owing
+// exactly as many successes as it has tuples left is 1 and no draw in
+// [0, 1) fails it.
 type CondSampler struct {
-	probs []float64
-	k, n  int
-	prob  float64
-	// pone holds the table transposed (entry [i][r] at r·n+i, the access
-	// order of the walk; row 0 is never read but keeps every success
-	// candidate idx+1−n of a live cell in bounds, and one trailing padding
-	// element does the same for the fail candidate idx+1 of the last cell).
-	// An entry is NaN when tail[i][r] underflowed to 0, marking the
-	// numerically impossible branch where only the forced-success path
-	// remains and no draw is consumed.
-	pone []float64
-	// forced reports that the walk can reach a NaN cell, which makes the
+	k, n int
+	prob float64
+	// tab holds the table column by column: cell (i, r) at i·(k+1)+r, so
+	// the walk's two candidates for the next step are neighbours. Row 0
+	// holds p_i itself — once the constraint is met a success is as likely
+	// as the tuple — so the vector walker runs the conditioned and the
+	// unconditioned phase as one recurrence. Of rows r ≥ 1 only the band
+	// max(1, k−i) ≤ r ≤ min(k, n−i) is written; a trailing padding column
+	// keeps the scalar walk's loads of the next column in bounds. A cell is
+	// NaN when
+	// tail[i][r] underflowed to 0, marking the numerically impossible
+	// branch where only the forced-success path remains and no draw is
+	// consumed.
+	tab []float64
+	// forced reports that the band holds a NaN cell, which makes the
 	// number of draws per sample path-dependent.
 	forced     bool
 	rowA, rowB []float64
 }
+
+// lanes is how many worlds the vector walker draws at once.
+const lanes = 8
 
 // NewCondSampler builds a sampler for the constraint Σ x_i ≥ k. It returns
 // an error if the constraint is unsatisfiable (k > n) or has probability
@@ -54,45 +66,32 @@ func NewCondSampler(probs []float64, k int) (*CondSampler, error) {
 // are NewCondSampler's. cs copies probs.
 func (cs *CondSampler) Reset(probs []float64, k int) error {
 	n := len(probs)
-	if k < 0 {
-		k = 0
+	k, err := checkConstraint(n, k)
+	if err != nil {
+		return err
 	}
-	if k > n {
-		return fmt.Errorf("poibin: constraint sum ≥ %d unsatisfiable with %d variables", k, n)
-	}
-	cs.probs = append(cs.probs[:0], probs...)
 	cs.k, cs.n, cs.forced = k, n, false
-	cs.pone = grow(cs.pone, n*(k+1)+1)
-	cs.rowA, cs.rowB = grow(cs.rowA, k+1), grow(cs.rowB, k+1)
-	// next is tail[i+1], row is tail[i]; start from tail[n]: ≥ 0 is
-	// certain, ≥ r>0 impossible.
-	next, row := cs.rowA, cs.rowB
-	next[0] = 1
-	for r := 1; r <= k; r++ {
-		next[r] = 0
+	stride := k + 1
+	cs.tab = grow(cs.tab, (n+1)*stride)
+	tab := cs.tab
+	for i, p := range probs {
+		tab[i*stride] = p
 	}
-	pone := cs.pone
+	// next is tail[i+1], row is tail[i]; both start as tail[n]: ≥ 0 is
+	// certain, ≥ r>0 impossible. Column i reads column i+1's band one row
+	// below its own and, where its band reaches r = n−i, one row above:
+	// tail[i+1][n−i] owes more successes than tuples remain, and neither
+	// buffer ever had that entry written, so it reads the exact 0 it is.
+	cs.rowA, cs.rowB = grow(cs.rowA, stride), grow(cs.rowB, stride)
+	next, row := cs.rowA, cs.rowB
+	clear(next)
+	clear(row)
+	next[0], row[0] = 1, 1
 	for i := n - 1; i >= 0; i-- {
-		p := probs[i]
-		row[0] = 1
-		for r := 1; r <= k; r++ {
-			succ := next[r-1]
-			row[r] = float64(p*succ) + float64((1-p)*next[r])
-			if denom := row[r]; denom > 0 {
-				pone[r*n+i] = p * next[r-1] / denom
-			} else {
-				pone[r*n+i] = math.NaN()
-				// The walk reaches column i only at r ≥ k−i, and a cell
-				// with r > n−i (fewer tuples left than successes owed)
-				// only by failing, one step earlier, a cell that owes
-				// exactly as many successes as it has tuples left. That
-				// cell's pone is p·t/(p·t + 0) = 1 exactly, and a draw in
-				// [0, 1) never fails it. So only NaN cells in
-				// k−i ≤ r ≤ n−i can be reached; every one of them counts.
-				if r >= k-i && r <= n-i {
-					cs.forced = true
-				}
-			}
+		lo, hi := max(1, k-i), min(k, n-i)
+		col := tab[i*stride : (i+1)*stride]
+		if bandCells(col[lo:hi+1], row[lo:hi+1], next[lo-1:hi+1], probs[i]) {
+			cs.forced = true
 		}
 		next, row = row, next
 	}
@@ -101,6 +100,39 @@ func (cs *CondSampler) Reset(probs []float64, k int) error {
 		return fmt.Errorf("poibin: constraint sum ≥ %d has probability 0", k)
 	}
 	return nil
+}
+
+// ResetSkip prepares cs to Skip worlds of the constraint Σ x_i ≥ k and
+// returns Reset's errors. It builds the table only when Skip needs it:
+// every in-band tail is at least the product of the last k probabilities
+// (the world where those tuples are present), so when that product is
+// ≥ 2⁻⁹⁰⁰ no tail can round to 0 — the table has no forced cell and a
+// nonzero probability — and Skip is a jump of n draws per world. Until the
+// next Reset, Covers and CountCovers must not be called and Prob is
+// meaningless.
+func (cs *CondSampler) ResetSkip(probs []float64, k int) error {
+	n := len(probs)
+	k, err := checkConstraint(n, k)
+	if err != nil {
+		return err
+	}
+	prod := 1.0
+	for _, p := range probs[n-k:] {
+		if prod *= p; prod < 0x1p-900 {
+			return cs.Reset(probs, k)
+		}
+	}
+	cs.k, cs.n, cs.forced = k, n, false
+	return nil
+}
+
+// checkConstraint clamps k at 0 and rejects k > n.
+func checkConstraint(n, k int) (int, error) {
+	k = max(k, 0)
+	if k > n {
+		return k, fmt.Errorf("poibin: constraint sum ≥ %d unsatisfiable with %d variables", k, n)
+	}
+	return k, nil
 }
 
 // grow returns b resized to n, reallocating with doubling headroom so a
@@ -116,15 +148,41 @@ func grow(b []float64, n int) []float64 {
 // normalizing constant of the sampler.
 func (cs *CondSampler) Prob() float64 { return cs.prob }
 
+// CountCovers draws samples conditioned worlds one after another, exactly
+// as that many Covers calls would, and returns how many of them cover
+// want; rng ends where those calls leave it. With one mask word per
+// position and no forced cell, each world consumes exactly n draws unless
+// a Float64 retry falls inside it, so eight consecutive worlds whose draws
+// hold no retry are independent: world j starts j·n draws on. The vector
+// walker runs those eight in lockstep; everything else — wider masks,
+// forced tables, groups with a retry and the last fewer than eight — walks
+// one world at a time.
+func (cs *CondSampler) CountCovers(rng *SM64, masks, want, acc []uint64, samples int) int {
+	hits := 0
+	vector := useAVX2 && !cs.forced && len(want) == 1 && want[0] != 0
+	for samples > 0 {
+		if vector && samples >= lanes && rng.retryGap() >= uint64(lanes*cs.n) {
+			hits += cs.walkLanes(rng, masks, want[0])
+			samples -= lanes
+			continue
+		}
+		if cs.Covers(rng, masks, want, acc) {
+			hits++
+		}
+		samples--
+	}
+	return hits
+}
+
 // Covers draws one conditioned world x and reports whether the masks of
 // its present positions together cover want: masks holds w = len(want)
-// words per position, position i's at masks[i·w : (i+1)·w], and acc (w
-// words) is caller scratch. The draw stops as soon as the verdict is in,
-// but rng always ends exactly where walking all n positions would leave
-// it: the draws the world did not need are skipped by counter (each
-// remaining step consumes one draw), or, when a forced cell is reachable
-// and the count is path-dependent, walked without bookkeeping. An empty
-// want is covered before the first draw.
+// words per position, position i's at masks[i·w : (i+1)·w], none with a
+// bit outside want, and acc (w words) is caller scratch. The draw stops as
+// soon as the verdict is in, but rng always ends exactly where walking all
+// n positions would leave it: the draws the world did not need are skipped
+// by counter (each remaining step consumes one draw), or, when a forced
+// cell is reachable and the count is path-dependent, walked without
+// bookkeeping. An empty want is covered before the first draw.
 func (cs *CondSampler) Covers(rng *SM64, masks, want, acc []uint64) bool {
 	i, r, hit := 0, cs.k, true
 	switch {
@@ -144,30 +202,31 @@ func (cs *CondSampler) Covers(rng *SM64, masks, want, acc []uint64) bool {
 // owed — and whether the masks were covered; on a miss it has walked all n
 // positions.
 //
-// A success is as likely as the tuple's own probability, so the walk is
-// branchless on it. Non-negative doubles order like their bit patterns, so
-// the draw is compared with the cell as uint64s and the outcome is a 0/1
-// flag s; the mask word is ANDed with −s, and the cursor into the
-// transposed table moves by +1 on a failure and by +1−n on a success (one
-// row up). Both candidate cells for the next step are loaded before the
-// draw resolves and selected by s, so the table latency overlaps the
-// compare instead of serializing behind it. The forced cell, the end of
-// the conditioned phase and the verdict are the only branches, and all
-// three are predictable. The generator lives in a local for the walk so
-// its state stays in a register.
+// A success is as likely as the cell, so the walk is branchless on it.
+// Non-negative doubles order like their bit patterns, so the draw is
+// compared with the cell as uint64s and the outcome is a 0/1 flag s; the
+// mask word is ANDed with −s, and while successes are owed a success moves
+// the cursor into the next column one row down. Both candidate cells for
+// the next step are neighbours, loaded before the draw resolves and
+// selected by s, so the table latency overlaps the compare instead of
+// serializing behind it. Once the constraint is met the walk reads row 0,
+// p_i, with no dependence between steps. The forced cell, the end of the
+// conditioned phase and the verdict are the only branches, and all three
+// are predictable. The generator lives in a local for the walk so its
+// state stays in a register.
 func (cs *CondSampler) walk1(rng *SM64, masks []uint64, want uint64) (int, int, bool) {
 	st := rng.state
-	n := cs.n
+	n, stride := cs.n, cs.k+1
 	masks = masks[:n]
-	pone := cs.pone
+	tab := cs.tab
 	var acc uint64
-	// rn = r·n for the r successes still owed: the walk's cell is
-	// pone[rn+i], and a success moves it one row up.
-	i, rn := 0, cs.k*n
-	cur := math.Float64bits(pone[rn])
-	for ; rn > 0; i++ {
-		fail := math.Float64bits(pone[rn+i+1])
-		succ := math.Float64bits(pone[rn+i+1-n])
+	i, r := 0, cs.k
+	idx := r // i·stride + r
+	cur := math.Float64bits(tab[idx])
+	for ; r > 0; i++ {
+		next := idx + stride
+		fail := math.Float64bits(tab[next])
+		succ := math.Float64bits(tab[next-1])
 		s := uint64(1)
 		if cur < nanBits {
 			var u uint64
@@ -177,20 +236,20 @@ func (cs *CondSampler) walk1(rng *SM64, masks []uint64, want uint64) (int, int, 
 			s = (u - cur) >> 63
 		} // else a NaN cell: forced success, no draw.
 		sm := -s
-		rn -= n & int(sm)
+		r -= int(s)
+		idx = next - int(s)
 		cur = fail ^ (fail^succ)&sm
 		acc |= masks[i] & sm
 		if acc == want {
 			rng.state = st
-			return i + 1, rn / n, true
+			return i + 1, r, true
 		}
 	}
 	// Constraint met; the rest is unconditioned.
-	probs := cs.probs[:n]
 	for ; i < n; i++ {
 		var u uint64
 		st, u = nextFloatBits(st)
-		sm := -((u - math.Float64bits(probs[i])) >> 63)
+		sm := -((u - math.Float64bits(tab[i*stride])) >> 63)
 		acc |= masks[i] & sm
 		if acc == want {
 			rng.state = st
@@ -223,13 +282,15 @@ func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, int, bo
 		return 0, cs.k, true
 	}
 	st := rng.state
-	n := cs.n
-	pone := cs.pone
-	i, rn := 0, cs.k*n
-	cur := math.Float64bits(pone[rn])
-	for ; rn > 0; i++ {
-		fail := math.Float64bits(pone[rn+i+1])
-		succ := math.Float64bits(pone[rn+i+1-n])
+	n, stride := cs.n, cs.k+1
+	tab := cs.tab
+	i, r := 0, cs.k
+	idx := r
+	cur := math.Float64bits(tab[idx])
+	for ; r > 0; i++ {
+		next := idx + stride
+		fail := math.Float64bits(tab[next])
+		succ := math.Float64bits(tab[next-1])
 		s := uint64(1)
 		if cur < nanBits {
 			var u uint64
@@ -237,18 +298,18 @@ func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, int, bo
 			s = (u - cur) >> 63
 		}
 		sm := -s
-		rn -= n & int(sm)
+		r -= int(s)
+		idx = next - int(s)
 		cur = fail ^ (fail^succ)&sm
 		if cover(i, sm) {
 			rng.state = st
-			return i + 1, rn / n, true
+			return i + 1, r, true
 		}
 	}
-	probs := cs.probs[:n]
 	for ; i < n; i++ {
 		var u uint64
 		st, u = nextFloatBits(st)
-		if cover(i, -((u - math.Float64bits(probs[i])) >> 63)) {
+		if cover(i, -((u - math.Float64bits(tab[i*stride])) >> 63)) {
 			rng.state = st
 			return i + 1, 0, true
 		}
@@ -257,7 +318,9 @@ func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, int, bo
 	return n, 0, false
 }
 
-// nanBits is the smallest NaN bit pattern with the sign bit clear.
+// nanBits is the smallest NaN bit pattern with the sign bit clear. No cell
+// is negative, so a cell at or above it is a NaN of either sign (a 0/0
+// divide yields one with the sign bit set).
 const nanBits = 0x7FF0000000000001
 
 // nextFloatBits is SM64.Float64 over a bare state — same draws, same
@@ -291,7 +354,7 @@ func (cs *CondSampler) finish(rng *SM64, i, r int) {
 	if cs.forced {
 		// Once r reaches 0 every remaining step draws once.
 		for ; i < cs.n && r > 0; i++ {
-			if p := cs.pone[r*cs.n+i]; p != p || rng.Float64() < p {
+			if p := cs.tab[i*(cs.k+1)+r]; p != p || rng.Float64() < p {
 				r--
 			}
 		}

@@ -16,16 +16,12 @@ func (cs *CondSampler) Sample(rng *SM64, dst []bool) {
 	}
 	r := cs.k
 	for i := 0; i < cs.n; i++ {
-		if r == 0 {
-			// Constraint met; the rest is unconditioned.
-			dst[i] = rng.Float64() < cs.probs[i]
-			continue
-		}
-		// NaN flags the numerically impossible branch where the success
-		// path is forced and no draw is consumed.
-		pOne := cs.pone[r*cs.n+i]
-		dst[i] = pOne != pOne || rng.Float64() < pOne
-		if dst[i] {
+		// Row 0 holds p_i: once the constraint is met the rest is
+		// unconditioned. NaN flags the numerically impossible branch where
+		// the success path is forced and no draw is consumed.
+		p := cs.tab[i*(cs.k+1)+r]
+		dst[i] = p != p || rng.Float64() < p
+		if dst[i] && r > 0 {
 			r--
 		}
 	}

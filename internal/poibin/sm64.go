@@ -111,14 +111,7 @@ var goldenInv = inverseOdd(golden)
 // each retry inside it costs one extra draw.
 func (s *SM64) SkipFloat64(k int) {
 	for k > 0 {
-		// Distance from the next draw's counter to the next retry counter,
-		// wrapping around the counter space.
-		next := s.state*goldenInv + 1
-		j := sort.Search(len(retryCounters), func(i int) bool { return retryCounters[i] >= next })
-		if j == len(retryCounters) {
-			j = 0
-		}
-		d := retryCounters[j] - next
+		d := s.retryGap()
 		if d >= uint64(k) {
 			s.state += uint64(k) * golden
 			return
@@ -127,4 +120,16 @@ func (s *SM64) SkipFloat64(k int) {
 		s.state += (d + 1) * golden
 		k -= int(d)
 	}
+}
+
+// retryGap returns how many draws from the current state come before the
+// next one Float64 discards: the distance from the next draw's counter to
+// the next retry counter, wrapping around the counter space.
+func (s *SM64) retryGap() uint64 {
+	next := s.state*goldenInv + 1
+	j := sort.Search(len(retryCounters), func(i int) bool { return retryCounters[i] >= next })
+	if j == len(retryCounters) {
+		j = 0
+	}
+	return retryCounters[j] - next
 }

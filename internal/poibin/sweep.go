@@ -10,11 +10,19 @@ package poibin
 //     still reads the previous round's neighbour.
 //   - axpy adds one scaled row of a truncated convolution: dst[j] += a·src[j].
 //
-// No cell of either loop reads another cell's new value, so the loops run
-// several cells per instruction where the CPU allows (sweep_amd64.s). The
-// vector code performs, per cell, exactly the scalar code's rounded
-// operations — two multiplies, then one add — so it is bit-identical to the
-// loops below. That is why both sides avoid fused multiply-add: an FMA rounds
+// The conditional sampler's table build (condsample.go) runs a third loop of
+// the same kind, bandCells: one column of the suffix-tail recurrence,
+//
+//	t = p·next[r] + q·next[r+1],  row[r] = t,  cell[r] = p·next[r] / t,
+//
+// whose division the vector code does with VDIVPD, correctly rounded like
+// the scalar divide.
+//
+// No cell of any of these loops reads another cell's new value, so the
+// loops run several cells per instruction where the CPU allows
+// (sweep_amd64.s). The vector code performs, per cell, exactly the scalar
+// code's rounded operations — two multiplies, then one add (and the band's
+// divide) — so it is bit-identical to the loops below. That is why both sides avoid fused multiply-add: an FMA rounds
 // once where the scalar code rounds twice. The Go spec allows fusing
 // x*y + z, and the compiler does so on arm64, ppc64le, s390x, riscv64 and
 // loong64 (never on amd64); the explicit float64(…) conversions in the Go
@@ -59,4 +67,21 @@ func axpyGeneric(dst, src []float64, a float64) {
 	for j, s := range src {
 		dst[j] += float64(a * s)
 	}
+}
+
+// bandCellsGeneric is the portable bandCells over len(row) cells; next must
+// hold one more.
+func bandCellsGeneric(cell, row, next []float64, p, q float64) (zero bool) {
+	next = next[:len(row)+1]
+	cell = cell[:len(row)]
+	for r := range row {
+		a := float64(p * next[r])
+		t := a + float64(q*next[r+1])
+		row[r] = t
+		cell[r] = a / t
+		if t == 0 {
+			zero = true
+		}
+	}
+	return zero
 }

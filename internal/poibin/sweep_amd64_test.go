@@ -77,3 +77,63 @@ func TestAxpyAVX2MatchesGeneric(t *testing.T) {
 		}
 	}
 }
+
+// TestBandCellsAVX2MatchesGeneric is the same check for one column of the
+// sampler table build: every band length 0…70, including tails that are 0
+// (their cells are NaN, and the zero flag must agree).
+func TestBandCellsAVX2MatchesGeneric(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("CPU without AVX2: the portable band is the only one that runs")
+	}
+	rng := rand.New(rand.NewSource(47))
+	for m := 0; m <= 70; m++ {
+		for trial := 0; trial < 40; trial++ {
+			next := make([]float64, m+1)
+			for i := range next {
+				next[i] = sweepCell(rng)
+			}
+			p := sweepCell(rng)
+			cell, row := make([]float64, m), make([]float64, m)
+			wantCell, wantRow := make([]float64, m), make([]float64, m)
+			wantZero := bandCellsGeneric(wantCell, wantRow, next, p, 1-p)
+			zero := bandCellsAVX2(cell, row, next, p, 1-p)
+			if zero != wantZero {
+				t.Fatalf("m %d p=%v: zero %v, generic %v", m, p, zero, wantZero)
+			}
+			if i := firstBitDiff(wantRow, row); i >= 0 {
+				t.Fatalf("m %d p=%v: row %d = %v, generic %v", m, p, i, row[i], wantRow[i])
+			}
+			if i := firstBitDiff(wantCell, cell); i >= 0 {
+				t.Fatalf("m %d p=%v: cell %d = %v, generic %v", m, p, i, cell[i], wantCell[i])
+			}
+		}
+	}
+}
+
+// BenchmarkCountCovers walks 64 conditioned worlds per op over a
+// Mushroom-sized clause (n = 400, k = 130, 24 escape bits), with the
+// vector walker (where the CPU has AVX2) and with the scalar walk.
+func BenchmarkCountCovers(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	const n, k = 400, 130
+	probs := make([]float64, n)
+	for i := range probs {
+		probs[i] = 0.2 + 0.8*rng.Float64()
+	}
+	cs, err := NewCondSampler(probs, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	masks, union := walkMasks(rng, n, 24, 0.1)
+	want, acc := []uint64{union}, make([]uint64, 1)
+	for _, vector := range []bool{true, false} {
+		b.Run(map[bool]string{true: "vector", false: "scalar"}[vector], func(b *testing.B) {
+			defer func(v bool) { useAVX2 = v }(useAVX2)
+			useAVX2 = useAVX2 && vector
+			g := NewSM64(3)
+			for i := 0; i < b.N; i++ {
+				cs.CountCovers(g, masks, want, acc, 64)
+			}
+		})
+	}
+}
