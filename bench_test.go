@@ -9,7 +9,9 @@ package pfcim_test
 //
 // Dataset sizes here are the same reproduction scale the experiment
 // harness defaults to (Mushroom-like 0.1 → 812 rows, Quest 0.02 → 600
-// rows); EXPERIMENTS.md records a full reference run.
+// rows); EXPERIMENTS.md records a full reference run. The exception is
+// BenchmarkQuest1M, a million-transaction stress mine that takes seconds
+// per op.
 
 import (
 	"runtime"
@@ -298,5 +300,35 @@ func BenchmarkExample12PaperExample(b *testing.B) {
 		if len(res.Itemsets) != 2 {
 			b.Fatalf("paper example result drifted: %d itemsets", len(res.Itemsets))
 		}
+	}
+}
+
+// --- Large-n sparse stress: quest-1m -------------------------------------
+
+// quest1M lazily builds the million-transaction workload, apart from
+// benchData so the other benchmarks never pay for it.
+var quest1M struct {
+	once sync.Once
+	db   *pfcim.Database
+}
+
+// BenchmarkQuest1M mines the sparse million-transaction Quest dataset
+// (T10I4D1MP2K under Gaussian(0.8, 0.1)) serially at relative min_sup 0.01.
+// It is the only million-transaction mine, and the one workload that runs
+// the divide-and-conquer tail kernel and compressed tidsets inside a real
+// mine. Building the dataset takes seconds, so run it on its own:
+//
+//	go test -run '^$' -bench BenchmarkQuest1M -benchtime 1x .
+func BenchmarkQuest1M(b *testing.B) {
+	quest1M.once.Do(func() {
+		quest := pfcim.GenerateQuest(pfcim.QuestT10I4D1MP2K(1, 47))
+		quest1M.db = pfcim.AssignGaussian(quest, 0.8, 0.1, 48)
+	})
+	b.ReportAllocs()
+	o := mineOpts(quest1M.db, 0.01)
+	o.Parallelism = 1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustMine(b, quest1M.db, o)
 	}
 }

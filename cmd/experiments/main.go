@@ -6,8 +6,7 @@
 //	experiments [-exp all|example1|table7|table8|fig5..fig12|extra|profile]
 //	            [-mushroom-scale 0.1] [-quest-scale 0.02]
 //	            [-pfct 0.8] [-eps 0.1] [-delta 0.1]
-//	            [-seed 42] [-budget 60s]
-//	experiments -bench-json BENCH.json
+//	            [-seed 42] [-budget 60s] [-cpuprofile cpu.prof]
 //
 // Each experiment prints the same rows/series the paper's figure plots;
 // EXPERIMENTS.md records a reference run and the paper-vs-measured
@@ -25,6 +24,13 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+// run parses the flags and runs the requested experiment, returning the
+// process exit code. Returning instead of calling os.Exit lets the deferred
+// profile stop and file close run on the failure path too.
+func run() (code int) {
 	var (
 		exp        = flag.String("exp", "all", "experiment to run: all, example1, table7, table8, fig5..fig12, extra, profile")
 		mushScale  = flag.Float64("mushroom-scale", 0.1, "Mushroom-like dataset scale (1 = 8124 transactions)")
@@ -35,8 +41,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "generator and sampler seed")
 		budget     = flag.Duration("budget", 60*time.Second, "per-point time budget; a series exceeding it skips its remaining points")
 		quick      = flag.Bool("quick", false, "trim every sweep to a few representative points")
-		benchJSON  = flag.String("bench-json", "", "run the benchmark suite and write the points to this JSON file, then exit")
-		benchLarge = flag.Bool("bench-large", false, "include the million-transaction quest-1m point in the benchmark suite")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
@@ -45,16 +49,23 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "experiments:", err)
+				code = 1
+			}
+		}()
 	}
 
-	cfg := experiments.Config{
+	suite := experiments.NewSuite(experiments.Config{
 		MushroomScale: *mushScale,
 		QuestScale:    *questScale,
 		PFCT:          *pfct,
@@ -63,28 +74,11 @@ func main() {
 		Seed:          *seed,
 		Budget:        *budget,
 		Quick:         *quick,
-		BenchLarge:    *benchLarge,
 		Out:           os.Stdout,
-	}
-	suite := experiments.NewSuite(cfg)
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		err = suite.RunBench(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
+	})
 	if err := suite.Run(*exp); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

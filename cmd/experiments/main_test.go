@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -30,5 +31,20 @@ func TestExperimentsCLI(t *testing.T) {
 	}
 	if err := exec.Command(bin, "-exp", "nonsense").Run(); err == nil {
 		t.Error("unknown experiment should exit non-zero")
+	}
+
+	// A failing run still writes its CPU profile: the stop and the file
+	// close run before the process exits non-zero.
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	if err := exec.Command(bin, "-exp", "nonsense", "-cpuprofile", prof,
+		"-mushroom-scale", "0.005", "-quest-scale", "0.002").Run(); err == nil {
+		t.Error("unknown experiment with -cpuprofile should exit non-zero")
+	}
+	blob, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) < 2 || blob[0] != 0x1f || blob[1] != 0x8b {
+		t.Errorf("CPU profile of a failing run is not a gzip stream (%d bytes)", len(blob))
 	}
 }

@@ -3,7 +3,8 @@ package main
 // Crash-recovery e2e against the real binary: a daemon with -store-dir is
 // SIGKILLed mid-traffic, restarted on the same directory, and must serve
 // the pre-crash results as byte-identical cache hits (no re-mining) with
-// every lineage resumed at its recorded version.
+// every lineage resumed at its recorded version, then serve the seeded
+// mixed traffic with no error.
 
 import (
 	"bytes"
@@ -12,6 +13,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -141,7 +143,13 @@ func TestDaemonKillRestartServesPriorResults(t *testing.T) {
 	}
 
 	// SIGKILL mid-traffic: background submitters keep requests in flight
-	// while the daemon dies. Their errors are expected and ignored.
+	// while the daemon dies, and the kill waits until they have had
+	// killAfter submissions accepted. Errors once the daemon is gone are
+	// expected and ignored.
+	const killAfter = 20
+	var accepted atomic.Int64
+	midTraffic := make(chan struct{})
+	var signal sync.Once
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
@@ -161,10 +169,18 @@ func TestDaemonKillRestartServesPriorResults(t *testing.T) {
 					return // connection refused/reset once the daemon is gone
 				}
 				resp.Body.Close()
+				if resp.StatusCode/100 == 2 && accepted.Add(1) >= killAfter {
+					signal.Do(func() { close(midTraffic) })
+				}
 			}
 		}(g)
 	}
-	time.Sleep(100 * time.Millisecond)
+	select {
+	case <-midTraffic:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("only %d submissions accepted before the kill deadline", accepted.Load())
+	}
+	firstPID := cmd.Process.Pid
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +188,11 @@ func TestDaemonKillRestartServesPriorResults(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Restart on the same store directory.
-	_, base2 := startDaemonBin(t, bin, "-store-dir", storeDir)
+	// Restart on the same store directory: a new process.
+	cmd2, base2 := startDaemonBin(t, bin, "-store-dir", storeDir)
+	if cmd2.Process.Pid == firstPID {
+		t.Fatalf("restarted daemon has the killed daemon's pid %d", firstPID)
+	}
 
 	// The lineage resumed at its recorded version.
 	resp, err = http.Get(base2 + "/v1/datasets/" + root.ID + "@latest")
@@ -242,4 +261,8 @@ func TestDaemonKillRestartServesPriorResults(t *testing.T) {
 	if v3.Version != 3 || v3.Lineage != root.ID {
 		t.Fatalf("append after restart: %+v, want version 3 on lineage %s", v3, root.ID)
 	}
+
+	// The restarted daemon serves the seeded mixed traffic: only 2xx
+	// answers, and every job it accepts ends done.
+	mixedTraffic(t, base2, 1)
 }

@@ -49,10 +49,6 @@ type Config struct {
 	// Quick trims every sweep to a few representative points, for smoke
 	// tests and fast demos.
 	Quick bool
-	// BenchLarge adds the million-transaction sparse Quest point
-	// (quest-1m) to the benchmark suite. Off by default: generating and
-	// mining the dataset takes tens of seconds.
-	BenchLarge bool
 	// Out receives the printed tables. Required.
 	Out io.Writer
 }

@@ -64,7 +64,8 @@ func QuestT20I10D30KP40(scale float64, seed int64) QuestConfig {
 // transaction length 10 and average pattern length 4. Per-item tidsets
 // average ~0.5% density, so the auto tidset representation goes sparse and
 // frequent-item tail lengths cross the divide-and-conquer kernel's
-// crossover — the workload BENCH_*.json tracks as quest-1m.
+// crossover — the quest-1m workload, benchmarked by the root package's
+// BenchmarkQuest1M.
 func QuestT10I4D1MP2K(scale float64, seed int64) QuestConfig {
 	n := int(1000000 * scale)
 	if n < 1 {

@@ -114,6 +114,23 @@ func TestDistributedMineMatchesInline(t *testing.T) {
 	}
 }
 
+// TestCoordinatorMixedTraffic is the distributed deployment's traffic
+// contract: a coordinator with two shard workers serves the seeded mixed
+// sequence with no non-2xx answer, and every job it accepts ends done.
+func TestCoordinatorMixedTraffic(t *testing.T) {
+	urls, _ := startShardWorkers(t, 2)
+	s, ts := testServer(t, Config{
+		Workers:         2,
+		Shards:          2,
+		ShardWorkers:    urls,
+		ShardRPCTimeout: 5 * time.Second,
+	})
+	mixedTraffic(t, ts.URL, 1)
+	if s.Metrics()["shard_tail_evaluations"] == 0 {
+		t.Error("no tail evaluation went over RPC")
+	}
+}
+
 // TestDistributedJobFailsOnDeadWorker is the regression test for the
 // coordinator hang: when a worker dies mid-job, the job must resolve
 // promptly with the structured shard error, not block until the job
