@@ -412,11 +412,3 @@ func (s *Suite) Fig12() error {
 	}
 	return nil
 }
-
-func resultItemsets(res *core.Result) []itemset.Itemset {
-	out := make([]itemset.Itemset, len(res.Itemsets))
-	for i, r := range res.Itemsets {
-		out[i] = r.Items
-	}
-	return out
-}

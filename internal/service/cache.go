@@ -8,7 +8,10 @@ import (
 )
 
 // resultCache is an LRU map from (dataset id, canonical options key) to a
-// finished mining result. Caching is sound because mining is deterministic
+// finished mining result, held encoded: the entry, every job served from it
+// and the durable store share one *encoded value, so each result is
+// rendered at most once however often it is served (DESIGN §9.3).
+// Caching is sound because mining is deterministic
 // per (database content, canonical options) — see DESIGN §8.3: results,
 // probabilities, and all scheduling-independent statistics are
 // byte-identical across runs, parallelism settings, and memo budgets — so a
@@ -28,7 +31,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key string
-	res core.ResultJSON
+	res *encoded[core.ResultJSON]
 }
 
 // cacheKey joins the two key halves. The canonical options key contains no
@@ -45,7 +48,7 @@ func newResultCache(max int) *resultCache {
 // LRU miss with a store attached, the stored snapshot is read through and
 // promoted — indistinguishable from a memory hit to callers, which is the
 // point: restored results count as cache hits, not re-mines.
-func (c *resultCache) get(key string) (core.ResultJSON, bool) {
+func (c *resultCache) get(key string) (*encoded[core.ResultJSON], bool) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
@@ -55,11 +58,11 @@ func (c *resultCache) get(key string) (core.ResultJSON, bool) {
 	}
 	c.mu.Unlock()
 	if c.persist == nil {
-		return core.ResultJSON{}, false
+		return nil, false
 	}
 	res, ok := c.persist.loadResult(key)
 	if !ok {
-		return core.ResultJSON{}, false
+		return nil, false
 	}
 	c.putMem(key, res)
 	return res, true
@@ -69,14 +72,14 @@ func (c *resultCache) get(key string) (core.ResultJSON, bool) {
 // capacity, and snapshots it to the durable store when one is attached. A
 // zero or negative capacity disables the in-memory tier but not the store:
 // durability does not depend on the LRU budget.
-func (c *resultCache) put(key string, res core.ResultJSON) {
+func (c *resultCache) put(key string, res *encoded[core.ResultJSON]) {
 	c.putMem(key, res)
 	if c.persist != nil {
 		c.persist.saveResult(key, res)
 	}
 }
 
-func (c *resultCache) putMem(key string, res core.ResultJSON) {
+func (c *resultCache) putMem(key string, res *encoded[core.ResultJSON]) {
 	if c.max <= 0 {
 		return
 	}

@@ -71,9 +71,9 @@ type job struct {
 	status       JobStatus
 	cached       bool
 	errMsg       string
-	result       *core.ResultJSON
-	diff         *stream.DiffJSON // watched jobs: change set vs the previous watched round
-	sweepRes     *sweep.ResultJSON
+	result       *encoded[core.ResultJSON] // shared with the result cache
+	diff         *encoded[stream.DiffJSON] // watched jobs: change set vs the previous watched round
+	sweepRes     *encoded[sweep.ResultJSON]
 	submitted    time.Time
 	started      time.Time
 	finished     time.Time
@@ -113,7 +113,18 @@ type JobInfo struct {
 	Sweep *sweep.ResultJSON `json:"sweep,omitempty"`
 }
 
-func (j *job) snapshot() JobInfo {
+// jobView is a job's snapshot as handlers serve it: the JobInfo envelope
+// with its heavy payloads left nil, plus those payloads in encoded form.
+// Taking a view under Manager.mu copies only the envelope and three
+// pointers; rendering the payloads happens after the lock is released.
+type jobView struct {
+	info   JobInfo
+	result *encoded[core.ResultJSON]
+	diff   *encoded[stream.DiffJSON]
+	sweep  *encoded[sweep.ResultJSON]
+}
+
+func (j *job) snapshot() jobView {
 	info := JobInfo{
 		ID:              j.id,
 		TraceID:         j.traceID,
@@ -126,9 +137,6 @@ func (j *job) snapshot() JobInfo {
 		SubmittedAt:     j.submitted,
 		WallMillis:      j.wallMillis,
 		QueueWaitMillis: j.queueWaitMS,
-		Result:          j.result,
-		Diff:            j.diff,
-		Sweep:           j.sweepRes,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -138,7 +146,29 @@ func (j *job) snapshot() JobInfo {
 		t := j.finished
 		info.FinishedAt = &t
 	}
-	return info
+	return jobView{info: info, result: j.result, diff: j.diff, sweep: j.sweepRes}
+}
+
+// full fills the envelope's payloads with their decoded values, for the
+// in-process API. Only a result read through from the store can fail: it
+// is decoded here for the first time. Diffs and sweeps are built from
+// values and never fail.
+func (v jobView) full() (JobInfo, error) {
+	info := v.info
+	if v.result != nil {
+		res, err := v.result.value()
+		if err != nil {
+			return JobInfo{}, fmt.Errorf("service: job %s: %w", info.ID, err)
+		}
+		info.Result = res
+	}
+	if v.diff != nil {
+		info.Diff, _ = v.diff.value()
+	}
+	if v.sweep != nil {
+		info.Sweep, _ = v.sweep.value()
+	}
+	return info, nil
 }
 
 // Manager owns the job table and the bounded worker pool. Submissions that
@@ -217,16 +247,28 @@ func newManager(cfg Config, cache *resultCache, mtr *metrics, log *slog.Logger, 
 // diff — the result is byte-identical to a pinned mine of the resolved
 // version, so it shares that version's cache entry either way.
 func (m *Manager) Submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout time.Duration) (JobInfo, error) {
-	opts, err := oj.Options()
+	return fullInfo(m.submit(ds, ref, oj, timeout))
+}
+
+// fullInfo adapts a view-returning method to the JobInfo-returning API.
+func fullInfo(v jobView, err error) (JobInfo, error) {
 	if err != nil {
 		return JobInfo{}, err
 	}
+	return v.full()
+}
+
+func (m *Manager) submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout time.Duration) (jobView, error) {
+	opts, err := oj.Options()
+	if err != nil {
+		return jobView{}, err
+	}
 	if err := m.applyShards(&opts); err != nil {
-		return JobInfo{}, err
+		return jobView{}, err
 	}
 	optKey, err := opts.CanonicalKey()
 	if err != nil {
-		return JobInfo{}, err
+		return jobView{}, err
 	}
 	capParallelism(&opts)
 	if timeout <= 0 || (m.maxJobTime > 0 && timeout > m.maxJobTime) {
@@ -235,7 +277,7 @@ func (m *Manager) Submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout t
 
 	watched := IsLatestRef(ref)
 	if watched && opts.Search == core.BFS {
-		return JobInfo{}, fmt.Errorf("service: @latest jobs mine incrementally and require DFS search")
+		return jobView{}, fmt.Errorf("service: @latest jobs mine incrementally and require DFS search")
 	}
 	j := &job{
 		dataset:   ds.ID,
@@ -254,7 +296,7 @@ func (m *Manager) Submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout t
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return JobInfo{}, ErrShuttingDown
+		return jobView{}, ErrShuttingDown
 	}
 	m.seq++
 	j.id = fmt.Sprintf("j%d", m.seq)
@@ -270,7 +312,7 @@ func (m *Manager) Submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout t
 	if ok {
 		j.status = StatusDone
 		j.cached = true
-		j.result = &res
+		j.result = res
 		j.finished = time.Now()
 		m.metrics.CacheHits.Add(1)
 		m.metrics.JobsDone.Add(1)
@@ -284,7 +326,7 @@ func (m *Manager) Submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout t
 	select {
 	case m.queue <- j:
 	default:
-		return JobInfo{}, ErrQueueFull
+		return jobView{}, ErrQueueFull
 	}
 	m.metrics.JobsQueued.Add(1)
 	m.addLocked(j)
@@ -327,12 +369,14 @@ func (m *Manager) addLocked(j *job) {
 }
 
 // Get returns a snapshot of the job with the given id.
-func (m *Manager) Get(id string) (JobInfo, error) {
+func (m *Manager) Get(id string) (JobInfo, error) { return fullInfo(m.view(id)) }
+
+func (m *Manager) view(id string) (jobView, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		return JobInfo{}, ErrNoSuchJob
+		return jobView{}, ErrNoSuchJob
 	}
 	return j.snapshot(), nil
 }
@@ -365,11 +409,25 @@ func (m *Manager) Trace(id string) (*obs.Profile, error) {
 	return j.profile, nil
 }
 
-// List returns snapshots of every job in submission order.
+// List returns snapshots of every job in submission order. A result whose
+// stored bytes no longer decode is left out of its job's snapshot.
 func (m *Manager) List() []JobInfo {
+	views := m.views()
+	out := make([]JobInfo, len(views))
+	for i, v := range views {
+		info, err := v.full()
+		if err != nil {
+			info = v.info
+		}
+		out[i] = info
+	}
+	return out
+}
+
+func (m *Manager) views() []jobView {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]JobInfo, 0, len(m.order))
+	out := make([]jobView, 0, len(m.order))
 	for _, id := range m.order {
 		out = append(out, m.jobs[id].snapshot())
 	}
@@ -380,12 +438,14 @@ func (m *Manager) List() []JobInfo {
 // pool; a running job has its context canceled and transitions when the
 // miner returns (MineContext aborts at the next enumeration node).
 // Canceling a terminal job is a no-op.
-func (m *Manager) Cancel(id string) (JobInfo, error) {
+func (m *Manager) Cancel(id string) (JobInfo, error) { return fullInfo(m.cancel(id)) }
+
+func (m *Manager) cancel(id string) (jobView, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		return JobInfo{}, ErrNoSuchJob
+		return jobView{}, ErrNoSuchJob
 	}
 	switch j.status {
 	case StatusQueued:
@@ -508,7 +568,7 @@ func (m *Manager) run(j *job) {
 	}
 	switch {
 	case err == nil && j.kind == JobKindSweep:
-		j.sweepRes = m.assembleSweep(j, sres)
+		j.sweepRes = encodedValue(m.assembleSweep(j, sres))
 		j.status = StatusDone
 		m.metrics.JobsDone.Add(1)
 		m.metrics.SweepsDone.Add(1)
@@ -522,10 +582,12 @@ func (m *Manager) run(j *job) {
 			"points", len(j.slots), "enumerations", sres.Stats.FullEnumerations)
 	case err == nil:
 		rj := res.JSON()
-		j.result = &rj
-		j.diff = diff
+		j.result = encodedValue(&rj)
+		if diff != nil {
+			j.diff = encodedValue(diff)
+		}
 		j.status = StatusDone
-		m.cache.put(j.cacheKey, rj)
+		m.cache.put(j.cacheKey, j.result)
 		m.metrics.JobsDone.Add(1)
 		if j.watched {
 			m.metrics.WatchedMines.Add(1)

@@ -75,11 +75,13 @@ func (p *persister) saveDataset(d *Dataset, lin *lineage) error {
 	return nil
 }
 
-// saveResult snapshots one finished result. Failures degrade durability,
-// not serving: the result is already in memory and correct, so they are
-// logged and counted rather than failing the job.
-func (p *persister) saveResult(key string, res core.ResultJSON) {
-	data, err := json.Marshal(res)
+// saveResult snapshots one finished result. The store keeps the result's
+// compact json.Marshal bytes — the same bytes every earlier daemon wrote —
+// and the first call renders them for every later reader. Failures degrade
+// durability, not serving: the result is already in memory and correct, so
+// they are logged and counted rather than failing the job.
+func (p *persister) saveResult(key string, res *encoded[core.ResultJSON]) {
+	data, err := res.compactBytes()
 	if err == nil {
 		err = p.st.PutResult(key, data)
 	}
@@ -92,25 +94,27 @@ func (p *persister) saveResult(key string, res core.ResultJSON) {
 }
 
 // loadResult is the cache's read-through: a result the LRU dropped (or a
-// restarted process never had) is served from disk and promoted.
-func (p *persister) loadResult(key string) (core.ResultJSON, bool) {
+// restarted process never had) is served from disk and promoted. The bytes
+// are served as stored, without a decode: a syntax check is all that stands
+// between them and a response, and bytes that fail it read as a miss so
+// the job re-mines.
+func (p *persister) loadResult(key string) (*encoded[core.ResultJSON], bool) {
 	data, ok, err := p.st.GetResult(key)
 	if err != nil {
 		p.mtr.StoreErrors.Add(1)
 		p.log.Error("stored result unreadable", "error", err)
-		return core.ResultJSON{}, false
+		return nil, false
 	}
 	if !ok {
-		return core.ResultJSON{}, false
+		return nil, false
 	}
-	var res core.ResultJSON
-	if err := json.Unmarshal(data, &res); err != nil {
+	if !json.Valid(data) {
 		p.mtr.StoreErrors.Add(1)
-		p.log.Error("stored result undecodable", "key", key, "error", err)
-		return core.ResultJSON{}, false
+		p.log.Error("stored result is not valid JSON", "key", key)
+		return nil, false
 	}
 	p.mtr.StoreRestoredResults.Add(1)
-	return res, true
+	return encodedBytes[core.ResultJSON](data), true
 }
 
 // restore rebuilds the registry from the store's lineage records: every

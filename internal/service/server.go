@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +11,9 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -364,6 +367,132 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
+// encoded is one immutable wire payload — a finished result, a watched
+// job's diff or a sweep — that the daemon renders at most once however
+// often it is served. Each form is computed on first use, so finishing a
+// job encodes nothing: the compact form on the first store write (or the
+// first serve), the served form on the first serve. A result read through
+// from the store starts from its stored bytes and is decoded only if an
+// in-process caller asks for the value.
+type encoded[T any] struct {
+	val     *T     // nil when built from stored bytes, until value decodes them
+	compact []byte // json.Marshal form, the store's bytes
+	served  []byte // compact, indented for depth 1 of a JobInfo
+
+	valOnce, compactOnce, servedOnce sync.Once
+	valErr, compactErr, servedErr    error
+}
+
+func encodedValue[T any](v *T) *encoded[T] { return &encoded[T]{val: v} }
+
+func encodedBytes[T any](compact []byte) *encoded[T] { return &encoded[T]{compact: compact} }
+
+// value returns the decoded payload.
+func (e *encoded[T]) value() (*T, error) {
+	e.valOnce.Do(func() {
+		if e.val != nil {
+			return
+		}
+		data, err := e.compactBytes()
+		if err == nil {
+			v := new(T)
+			if err = json.Unmarshal(data, v); err == nil {
+				e.val = v
+			}
+		}
+		e.valErr = err
+	})
+	return e.val, e.valErr
+}
+
+// compactBytes returns the json.Marshal form.
+func (e *encoded[T]) compactBytes() ([]byte, error) {
+	e.compactOnce.Do(func() {
+		if e.compact == nil {
+			e.compact, e.compactErr = json.Marshal(e.val)
+		}
+	})
+	return e.compact, e.compactErr
+}
+
+// wire returns the payload exactly as writeJSON renders it as a field of a
+// JobInfo: json.Encoder marshals the whole document compactly, with the
+// same HTML escaping as json.Marshal, and then indents it, so indenting
+// the compact payload once with the prefix of depth 1 yields the same
+// bytes.
+func (e *encoded[T]) wire() ([]byte, error) {
+	e.servedOnce.Do(func() {
+		data, err := e.compactBytes()
+		if err == nil {
+			var buf bytes.Buffer
+			buf.Grow(len(data) + len(data)/2)
+			if err = json.Indent(&buf, data, "  ", "  "); err == nil {
+				e.served = buf.Bytes()
+			}
+		}
+		e.servedErr = err
+	})
+	return e.served, e.servedErr
+}
+
+// writeJob renders a job byte-identically to writeJSON(w, status, info)
+// with the payloads filled in. Only the small envelope is encoded per
+// request; each payload's rendered bytes are spliced in before the
+// envelope's closing brace, in JobInfo's field order.
+func (s *Server) writeJob(w http.ResponseWriter, status int, v jobView) {
+	type part struct {
+		field string // the separator and key that precede the payload
+		wire  func() ([]byte, error)
+		body  []byte
+	}
+	var parts []part
+	if v.result != nil {
+		parts = append(parts, part{field: ",\n  \"result\": ", wire: v.result.wire})
+	}
+	if v.diff != nil {
+		parts = append(parts, part{field: ",\n  \"diff\": ", wire: v.diff.wire})
+	}
+	if v.sweep != nil {
+		parts = append(parts, part{field: ",\n  \"sweep\": ", wire: v.sweep.wire})
+	}
+	if len(parts) == 0 {
+		s.writeJSON(w, status, v.info)
+		return
+	}
+	var env bytes.Buffer
+	enc := json.NewEncoder(&env)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(v.info)
+	const closing = "\n}\n" // how the indenting encoder ends a non-empty object
+	head := bytes.TrimSuffix(env.Bytes(), []byte(closing))
+	size := len(head) + len(closing)
+	for i := range parts {
+		if err != nil {
+			break
+		}
+		parts[i].body, err = parts[i].wire()
+		size += len(parts[i].field) + len(parts[i].body)
+	}
+	if err != nil {
+		s.log.Error("response encode failed", "error", err)
+		s.writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	w.WriteHeader(status)
+	// A failed write breaks the connection and every later write fails
+	// too, so checking the last one is enough.
+	w.Write(head)
+	for _, p := range parts {
+		io.WriteString(w, p.field)
+		w.Write(p.body)
+	}
+	if _, err := io.WriteString(w, closing); err != nil {
+		s.log.Debug("response write failed", "error", err)
+	}
+}
+
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	resp := errorResponse{Error: err.Error()}
 	var bf *badFieldError
@@ -538,14 +667,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, s.resolveStatus(err), err)
 		return
 	}
-	info, err := s.jobs.Submit(ds, req.Dataset, req.Options, time.Duration(req.TimeoutMS)*time.Millisecond)
+	v, err := s.jobs.submit(ds, req.Dataset, req.Options, time.Duration(req.TimeoutMS)*time.Millisecond)
 	if err == nil {
 		// The correlation line: request_id (logger) ↔ job id ↔ trace id, so
 		// client logs, daemon logs, and worker logs join on either key.
-		s.rlog(r).Info("job submitted", "job", info.ID, "trace", info.TraceID,
-			"dataset", info.Dataset, "cached", info.Cached)
+		s.rlog(r).Info("job submitted", "job", v.info.ID, "trace", v.info.TraceID,
+			"dataset", v.info.Dataset, "cached", v.info.Cached)
 	}
-	s.writeSubmitResult(w, info, err)
+	s.writeSubmitResult(w, v, err)
 }
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
@@ -564,19 +693,19 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, s.resolveStatus(err), err)
 		return
 	}
-	info, err := s.jobs.SubmitSweep(ds, req.Options, req.Points, time.Duration(req.TimeoutMS)*time.Millisecond)
+	v, err := s.jobs.submitSweep(ds, req.Options, req.Points, time.Duration(req.TimeoutMS)*time.Millisecond)
 	if err == nil {
-		s.rlog(r).Info("sweep submitted", "job", info.ID, "trace", info.TraceID,
-			"dataset", info.Dataset, "points", len(req.Points))
+		s.rlog(r).Info("sweep submitted", "job", v.info.ID, "trace", v.info.TraceID,
+			"dataset", v.info.Dataset, "points", len(req.Points))
 	}
-	s.writeSubmitResult(w, info, err)
+	s.writeSubmitResult(w, v, err)
 }
 
 // writeSubmitResult maps a submission outcome to the HTTP response shared
 // by jobs and sweeps: 202 queued, 200 cache hit, 429 shed (queue full — a
 // structured, retryable rejection distinct from the 503 a shutting-down
 // daemon returns), 400 invalid.
-func (s *Server) writeSubmitResult(w http.ResponseWriter, info JobInfo, err error) {
+func (s *Server) writeSubmitResult(w http.ResponseWriter, v jobView, err error) {
 	switch {
 	case err == nil:
 	case err == ErrQueueFull:
@@ -595,10 +724,10 @@ func (s *Server) writeSubmitResult(w http.ResponseWriter, info JobInfo, err erro
 		return
 	}
 	status := http.StatusAccepted
-	if info.Status.Terminal() { // cache hit: already done
+	if v.info.Status.Terminal() { // cache hit: already done
 		status = http.StatusOK
 	}
-	s.writeJSON(w, status, info)
+	s.writeJob(w, status, v)
 }
 
 // writeShed renders one structured 429 with its Retry-After header
@@ -639,22 +768,26 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
-	list := s.jobs.List()
-	// Job listings elide results; fetch a single job for its itemsets.
-	for i := range list {
-		list[i].Result = nil
-		list[i].Sweep = nil
+	views := s.jobs.views()
+	// Job listings elide results and sweeps; fetch a single job for its
+	// itemsets.
+	list := make([]JobInfo, len(views))
+	for i, v := range views {
+		list[i] = v.info
+		if v.diff != nil {
+			list[i].Diff, _ = v.diff.value() // built from a value: never fails
+		}
 	}
 	s.writeJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	info, err := s.jobs.Get(r.PathValue("id"))
+	v, err := s.jobs.view(r.PathValue("id"))
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, info)
+	s.writeJob(w, http.StatusOK, v)
 }
 
 // handleJobTrace serves the finished job's phase profile: per-phase and
@@ -675,12 +808,12 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	info, err := s.jobs.Cancel(r.PathValue("id"))
+	v, err := s.jobs.cancel(r.PathValue("id"))
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, info)
+	s.writeJob(w, http.StatusOK, v)
 }
 
 // --- observability ---

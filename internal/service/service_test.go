@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,11 +43,30 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// hardDB is a workload whose default mine takes seconds — long enough that
-// tests can observe and cancel a running job.
+// hardDB is a Mushroom-like workload big enough to exercise every mining
+// counter. Tests that need a job queued or running hold it with holdJobs
+// instead of counting on the mine being slow.
 func hardDB(t *testing.T) *uncertain.DB {
 	t.Helper()
 	return gen.AssignGaussian(gen.MushroomLike(0.03, 42), 0.5, 0.5, 43)
+}
+
+// holdJobs makes every job of s wait in the running state, right before its
+// mine, until the job's context ends (a cancel, its timeout, or a drain's
+// deadline); each job that reaches the hold is announced on the returned
+// channel. Tests that need a job queued or running act only after that
+// announcement, however fast the miner is. Call before the first
+// submission, and end every held job before the test returns.
+func holdJobs(s *Server) <-chan struct{} {
+	started := make(chan struct{})
+	s.Jobs().beforeMine = func(ctx context.Context) {
+		select {
+		case started <- struct{}{}:
+		case <-ctx.Done():
+		}
+		<-ctx.Done()
+	}
+	return started
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -139,8 +157,8 @@ func TestRegistryContentHash(t *testing.T) {
 
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(2)
-	mk := func(n int) core.ResultJSON {
-		return core.ResultJSON{Itemsets: make([]core.ResultItemJSON, n)}
+	mk := func(n int) *encoded[core.ResultJSON] {
+		return encodedValue(&core.ResultJSON{Itemsets: make([]core.ResultItemJSON, n)})
 	}
 	c.put("a", mk(1))
 	c.put("b", mk(2))
@@ -151,7 +169,7 @@ func TestResultCacheLRU(t *testing.T) {
 	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted")
 	}
-	if got, ok := c.get("a"); !ok || len(got.Itemsets) != 1 {
+	if got, ok := c.get("a"); !ok || len(got.val.Itemsets) != 1 {
 		t.Error("a should have survived eviction")
 	}
 	if _, ok := c.get("c"); !ok {
@@ -352,26 +370,15 @@ func TestParallelismCapped(t *testing.T) {
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	s, ts := testServer(t, Config{Workers: 1})
+	started := holdJobs(s)
 	ds := uploadDB(t, ts.URL, hardDB(t))
 	resp := postJSON(t, ts.URL+"/v1/jobs", jobRequest{
 		Dataset: ds.ID,
 		Options: core.OptionsJSON{MinSup: 4, PFCT: 0.5},
 	})
 	job := decode[JobInfo](t, resp)
-
-	// Wait for the worker to pick it up, then cancel.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		r, err := http.Get(ts.URL + "/v1/jobs/" + job.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if decode[JobInfo](t, r).Status == StatusRunning {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	<-started // the worker picked it up: running
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+job.ID, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -396,15 +403,20 @@ func TestCancelRunningJob(t *testing.T) {
 
 func TestCancelQueuedJob(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 8})
+	started := holdJobs(s)
 	hard := uploadDB(t, ts.URL, hardDB(t))
 	// Occupy the single worker, then queue a second job and cancel it
 	// before it can start.
 	blocker := decode[JobInfo](t, postJSON(t, ts.URL+"/v1/jobs", jobRequest{
 		Dataset: hard.ID, Options: core.OptionsJSON{MinSup: 4, PFCT: 0.5},
 	}))
+	<-started
 	queued := decode[JobInfo](t, postJSON(t, ts.URL+"/v1/jobs", jobRequest{
 		Dataset: hard.ID, Options: core.OptionsJSON{MinSup: 5, PFCT: 0.5},
 	}))
+	if queued.Status != StatusQueued {
+		t.Fatalf("second job = %+v, want queued behind the held one", queued)
+	}
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
 	r, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -420,47 +432,45 @@ func TestCancelQueuedJob(t *testing.T) {
 		r.Body.Close()
 	}
 	waitJob(t, ts.URL, blocker.ID)
-	if got := s.Metrics()["jobs_canceled"]; got < 1 {
-		t.Errorf("jobs_canceled = %d, want ≥ 1", got)
+	if got := s.Metrics()["jobs_canceled"]; got != 2 {
+		t.Errorf("jobs_canceled = %d, want 2", got)
 	}
 }
 
 func TestQueueFullRejects(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 1})
+	started := holdJobs(s)
 	hard := uploadDB(t, ts.URL, hardDB(t))
 	submit := func(minSup int) *http.Response {
 		return postJSON(t, ts.URL+"/v1/jobs", jobRequest{
 			Dataset: hard.ID, Options: core.OptionsJSON{MinSup: minSup, PFCT: 0.5},
 		})
 	}
+	// One job holds the worker and one fills the queue; the next
+	// submission must be shed with a structured 429.
 	var ids []string
-	sawFull := false
-	// One job occupies the worker, one fills the queue; a submission after
-	// that must be shed with a structured 429. The worker may dequeue
-	// between our submissions, so allow a few attempts.
-	for minSup := 4; minSup < 10 && !sawFull; minSup++ {
+	for minSup := 4; minSup <= 5; minSup++ {
 		resp := submit(minSup)
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-			ids = append(ids, decode[JobInfo](t, resp).ID)
-		case http.StatusTooManyRequests:
-			sawFull = true
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("queue-full 429 lacks Retry-After")
-			}
-			er := decode[errorResponse](t, resp)
-			if er.Reason != "queue_full" {
-				t.Errorf("queue-full reason = %q, want queue_full", er.Reason)
-			}
-		default:
-			t.Fatalf("unexpected status %d", resp.StatusCode)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submission %d: status %d, want 202", len(ids)+1, resp.StatusCode)
+		}
+		ids = append(ids, decode[JobInfo](t, resp).ID)
+		if minSup == 4 {
+			<-started
 		}
 	}
-	if !sawFull {
-		t.Error("queue never reported full")
+	resp := submit(6)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submission past a full queue: status %d, want 429", resp.StatusCode)
 	}
-	if s.Metrics()["jobs_shed_queue_full"] < 1 {
-		t.Error("jobs_shed_queue_full not counted")
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("queue-full 429 lacks Retry-After")
+	}
+	if er := decode[errorResponse](t, resp); er.Reason != "queue_full" {
+		t.Errorf("queue-full reason = %q, want queue_full", er.Reason)
+	}
+	if got := s.Metrics()["jobs_shed_queue_full"]; got != 1 {
+		t.Errorf("jobs_shed_queue_full = %d, want 1", got)
 	}
 	for _, id := range ids { // drain fast
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
@@ -470,8 +480,11 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 }
 
+// TestJobTimeout holds the job until its 50 ms deadline passes, so the
+// mine always starts on an expired context.
 func TestJobTimeout(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	s, ts := testServer(t, Config{Workers: 1})
+	holdJobs(s)
 	hard := uploadDB(t, ts.URL, hardDB(t))
 	job := decode[JobInfo](t, postJSON(t, ts.URL+"/v1/jobs", jobRequest{
 		Dataset:   hard.ID,
@@ -549,14 +562,7 @@ func TestDrainCancelsQueuedAndStopsIntake(t *testing.T) {
 	// Hold the first job in the running state until its context is
 	// canceled, so the drain below always finds one running job and one
 	// queued, however fast the miner is.
-	started := make(chan struct{})
-	var held atomic.Bool
-	s.Jobs().beforeMine = func(ctx context.Context) {
-		if held.CompareAndSwap(false, true) {
-			close(started)
-			<-ctx.Done()
-		}
-	}
+	started := holdJobs(s)
 	hard := uploadDB(t, ts.URL, hardDB(t))
 	running := decode[JobInfo](t, postJSON(t, ts.URL+"/v1/jobs", jobRequest{
 		Dataset: hard.ID, Options: core.OptionsJSON{MinSup: 4, PFCT: 0.5},

@@ -18,7 +18,8 @@ import (
 
 // sweepSlot is one grid point of a sweep job: its engine form, its result
 // cache key, and — when the submit-time cache lookup hit — the cached
-// result that spares the engine the point.
+// result that spares the engine the point, decoded because the sweep
+// payload embeds its fields.
 type sweepSlot struct {
 	point  sweep.Point
 	key    string
@@ -29,19 +30,23 @@ type sweepSlot struct {
 // point, and either completes the sweep immediately (every point cached) or
 // enqueues a job that mines only the missing points.
 func (m *Manager) SubmitSweep(ds *Dataset, oj core.OptionsJSON, pts []sweep.PointJSON, timeout time.Duration) (JobInfo, error) {
+	return fullInfo(m.submitSweep(ds, oj, pts, timeout))
+}
+
+func (m *Manager) submitSweep(ds *Dataset, oj core.OptionsJSON, pts []sweep.PointJSON, timeout time.Duration) (jobView, error) {
 	if len(pts) == 0 {
-		return JobInfo{}, fmt.Errorf("service: sweep needs at least one point")
+		return jobView{}, fmt.Errorf("service: sweep needs at least one point")
 	}
 	opts, err := oj.Options()
 	if err != nil {
-		return JobInfo{}, err
+		return jobView{}, err
 	}
 	// Sweeps always mine in-process — the inline sharded arithmetic is
 	// byte-identical to the distributed evaluator, so the per-point cache
 	// entries they produce stay interchangeable with single jobs mined over
 	// the workers.
 	if err := m.applyShards(&opts); err != nil {
-		return JobInfo{}, err
+		return jobView{}, err
 	}
 	capParallelism(&opts)
 	slots := make([]sweepSlot, len(pts))
@@ -49,11 +54,11 @@ func (m *Manager) SubmitSweep(ds *Dataset, oj core.OptionsJSON, pts []sweep.Poin
 		p := pj.Point()
 		canon, err := p.Apply(opts).Canonical()
 		if err != nil {
-			return JobInfo{}, fmt.Errorf("service: sweep point %d: %w", i, err)
+			return jobView{}, fmt.Errorf("service: sweep point %d: %w", i, err)
 		}
 		key, err := canon.CanonicalKey()
 		if err != nil {
-			return JobInfo{}, fmt.Errorf("service: sweep point %d: %w", i, err)
+			return jobView{}, fmt.Errorf("service: sweep point %d: %w", i, err)
 		}
 		slots[i] = sweepSlot{point: p, key: cacheKey(ds.ID, key)}
 	}
@@ -75,7 +80,7 @@ func (m *Manager) SubmitSweep(ds *Dataset, oj core.OptionsJSON, pts []sweep.Poin
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return JobInfo{}, ErrShuttingDown
+		return jobView{}, ErrShuttingDown
 	}
 	m.seq++
 	j.id = fmt.Sprintf("j%d", m.seq)
@@ -86,11 +91,13 @@ func (m *Manager) SubmitSweep(ds *Dataset, oj core.OptionsJSON, pts []sweep.Poin
 	missing := 0
 	for i := range j.slots {
 		lookupStart := time.Now()
-		res, ok := m.cache.get(j.slots[i].key)
+		var res *core.ResultJSON
+		if enc, ok := m.cache.get(j.slots[i].key); ok {
+			res, _ = enc.value() // a stored result that no longer decodes is re-mined
+		}
 		m.metrics.sweepCache.Observe(time.Since(lookupStart))
-		if ok {
-			r := res
-			j.slots[i].cached = &r
+		if res != nil {
+			j.slots[i].cached = res
 			m.metrics.CacheHits.Add(1)
 		} else {
 			m.metrics.CacheMisses.Add(1)
@@ -102,7 +109,7 @@ func (m *Manager) SubmitSweep(ds *Dataset, oj core.OptionsJSON, pts []sweep.Poin
 	if missing == 0 {
 		j.status = StatusDone
 		j.cached = true
-		j.sweepRes = m.assembleSweep(j, nil)
+		j.sweepRes = encodedValue(m.assembleSweep(j, nil))
 		j.finished = time.Now()
 		m.metrics.JobsDone.Add(1)
 		m.metrics.SweepsDone.Add(1)
@@ -116,7 +123,7 @@ func (m *Manager) SubmitSweep(ds *Dataset, oj core.OptionsJSON, pts []sweep.Poin
 	select {
 	case m.queue <- j:
 	default:
-		return JobInfo{}, ErrQueueFull
+		return jobView{}, ErrQueueFull
 	}
 	m.metrics.JobsQueued.Add(1)
 	m.addLocked(j)
@@ -160,7 +167,8 @@ func (m *Manager) assembleSweep(j *job, res *sweep.Result) *sweep.ResultJSON {
 			}
 			continue
 		}
-		m.cache.put(s.key, res.Points[k].CoreJSON())
+		cj := res.Points[k].CoreJSON()
+		m.cache.put(s.key, encodedValue(&cj))
 		out.Points[i] = engine[k]
 		k++
 	}
