@@ -55,8 +55,8 @@ func main() {
 		noSub      = flag.Bool("no-sub", false, "disable subset pruning")
 		noBound    = flag.Bool("no-bound", false, "disable frequent-closed-probability bound pruning")
 		frequent   = flag.Bool("frequent", false, "also print probabilistic frequent itemsets (the pre-compression set)")
-		maximal    = flag.Bool("maximal", false, "also print the maximal probabilistic frequent itemsets (top-down border)")
-		expSup     = flag.Float64("exp-sup", 0, "when > 0, also print itemsets with expected support ≥ this value (UF-growth)")
+		maximal    = flag.Bool("maximal", false, "also print the maximal probabilistic frequent itemsets (the border of the PFI set)")
+		expSup     = flag.Float64("exp-sup", 0, "when > 0, also print itemsets with expected support ≥ this value (U-Apriori model)")
 		parallel   = flag.Int("parallel", 0, "number of work-stealing mining workers (0 = serial)")
 		jsonOut    = flag.Bool("json", false, "emit the result as JSON instead of text")
 		showStats  = flag.Bool("stats", false, "print pruning statistics")
@@ -185,7 +185,7 @@ func main() {
 		}
 	}
 	if *expSup > 0 {
-		esis := pfcim.UFGrowth(db, *expSup)
+		esis := pfcim.MineExpectedSupport(db, *expSup)
 		fmt.Printf("# %d itemsets with expected support >= %g\n", len(esis), *expSup)
 		for _, p := range esis {
 			fmt.Printf("ESI %s\texp_sup=%.2f\n", p.Items, p.ExpectedSupport)

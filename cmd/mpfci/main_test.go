@@ -59,6 +59,25 @@ func TestCLIEndToEnd(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, text)
 		}
 	}
+
+	// The border and expected-support listings: every PFI of Table II is a
+	// subset of abcd, and a, b, c each have expected support 3.1 against
+	// d's 1.8, so exactly the 7 non-empty subsets of abc reach 2.
+	out, err = exec.Command(bin, "-minsup-abs", "2", "-pfct", "0.8", "-maximal", "-exp-sup", "2", data).CombinedOutput()
+	if err != nil {
+		t.Fatalf("mpfci -maximal -exp-sup failed: %v\n%s", err, out)
+	}
+	text = string(out)
+	for _, want := range []string{
+		"# 1 maximal probabilistic frequent itemsets",
+		"MaxPFI {a b c d}",
+		"# 7 itemsets with expected support >= 2",
+		"ESI {a b c}\texp_sup=3.10",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
 }
 
 func TestCLIJSON(t *testing.T) {

@@ -28,10 +28,10 @@ func ExampleGenerateRules() {
 	// 13 rules with expected confidence ≥ 0.99; first: {a} => {b c} (conf 1.000)
 }
 
-// ExampleNewStreamWindow maintains probabilistic frequent items over a
+// ExampleNewWindow maintains probabilistic frequent items over a
 // sliding window.
-func ExampleNewStreamWindow() {
-	w, err := pfcim.NewStreamWindow(3)
+func ExampleNewWindow() {
+	w, err := pfcim.NewWindow(3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // repository implements, on the paper's Table IV database (the running
 // example plus two low-confidence tuples):
 //
-//  1. expected-support frequent itemsets (U-Apriori / UF-growth),
+//  1. expected-support frequent itemsets (U-Apriori),
 //  2. probabilistic frequent itemsets (Definition 3.5),
 //  3. "probabilistic frequent closed" itemsets under the competing
 //     probabilistic-support definition of related work, and
@@ -31,7 +31,7 @@ func main() {
 	}
 
 	fmt.Printf("\n(1) expected-support model, minExpSup = %d:\n", minSup)
-	for _, p := range pfcim.UFGrowth(db, minSup) {
+	for _, p := range pfcim.MineExpectedSupport(db, minSup) {
 		fmt.Printf("  %-12v expSup=%.2f\n", p.Items, p.ExpectedSupport)
 	}
 

@@ -185,25 +185,3 @@ func TestDatasetHelpers(t *testing.T) {
 		t.Errorf("tidset(2) = %v", got)
 	}
 }
-
-func TestHMineAgainstFPGrowth(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := randomDataset(rng, 25, 9)
-		minSup := rng.Intn(len(d)) + 1
-		return PatternsEqual(HMine(d, minSup), FPGrowth(d, minSup))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHMineEdgeCases(t *testing.T) {
-	d := Dataset{itemset.FromInts(1)}
-	if got := HMine(d, 0); len(got) != 1 {
-		t.Errorf("minSup 0 should clamp to 1, got %v", got)
-	}
-	if got := HMine(Dataset{itemset.FromInts(1), itemset.FromInts(2)}, 3); len(got) != 0 {
-		t.Errorf("unreachable minSup should give empty result, got %v", got)
-	}
-}

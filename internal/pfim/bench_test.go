@@ -7,8 +7,8 @@ import (
 	"github.com/probdata/pfcim/internal/uncertain"
 )
 
-// Strategy comparison: the bottom-up DFS miner, the TODIS-style top-down
-// miner, and the two expected-support algorithms.
+// Miner benchmarks: the probabilistic frequent itemset DFS and the
+// expected-support miner on the same Mushroom-like input.
 
 func benchDB() *uncertain.DB {
 	data := gen.MushroomLike(0.08, 9)
@@ -27,18 +27,6 @@ func BenchmarkMineBottomUp(b *testing.B) {
 	}
 }
 
-func BenchmarkMineTopDown(b *testing.B) {
-	db := benchDB()
-	opts := Options{MinSup: db.N() * 3 / 10, PFT: 0.8}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := MineTopDown(db, opts); len(got) == 0 {
-			b.Fatal("no itemsets")
-		}
-	}
-}
-
 func BenchmarkExpectedSupportTidsets(b *testing.B) {
 	db := benchDB()
 	minExp := float64(db.N()) * 0.25
@@ -46,18 +34,6 @@ func BenchmarkExpectedSupportTidsets(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := ExpectedSupportMine(db, minExp); len(got) == 0 {
-			b.Fatal("no itemsets")
-		}
-	}
-}
-
-func BenchmarkExpectedSupportUFGrowth(b *testing.B) {
-	db := benchDB()
-	minExp := float64(db.N()) * 0.25
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := UFGrowth(db, minExp); len(got) == 0 {
 			b.Fatal("no itemsets")
 		}
 	}

@@ -122,6 +122,35 @@ func Mine(db *uncertain.DB, opts Options) []Itemset {
 	return out
 }
 
+// MaximalFrequent returns only the maximal probabilistic frequent itemsets:
+// the compact border of Mine's result set, from which every PFI follows as
+// a non-empty subset (the top-down view of TODIS [22]).
+func MaximalFrequent(db *uncertain.DB, opts Options) []itemset.Itemset {
+	full := Mine(db, opts)
+	keys := map[string]bool{}
+	for _, p := range full {
+		keys[p.Items.Key()] = true
+	}
+	items := db.Items()
+	var out []itemset.Itemset
+	for _, p := range full {
+		isMax := true
+		for _, e := range items {
+			if p.Items.Contains(e) {
+				continue
+			}
+			if keys[p.Items.Add(e).Key()] {
+				isMax = false
+				break
+			}
+		}
+		if isMax {
+			out = append(out, p.Items)
+		}
+	}
+	return out
+}
+
 // Count returns the number of probabilistic frequent itemsets without
 // materializing them or their exact frequent probabilities. Itemsets whose
 // membership is settled by the analytic tail bounds — the Chernoff-

@@ -276,32 +276,14 @@ func MineExpectedSupport(db *Database, minExpSup float64) []FrequentItemset {
 	return pfim.ExpectedSupportMine(db, minExpSup)
 }
 
-// MineFrequentTopDown returns the same set as MineFrequent using the
-// top-down strategy of the TODIS algorithm: discover the maximal
-// probabilistic frequent itemsets, then derive every subset.
-func MineFrequentTopDown(db *Database, opts FrequentOptions) ([]FrequentItemset, error) {
-	opts, err := validFrequent(opts)
-	if err != nil {
-		return nil, err
-	}
-	return pfim.MineTopDown(db, opts), nil
-}
-
-// MaximalFrequent returns only the maximal probabilistic frequent itemsets
-// — the border representation the top-down strategy is built on.
+// MaximalFrequent returns only the maximal probabilistic frequent itemsets:
+// the border of the set MineFrequent returns.
 func MaximalFrequent(db *Database, opts FrequentOptions) ([]Itemset, error) {
 	opts, err := validFrequent(opts)
 	if err != nil {
 		return nil, err
 	}
 	return pfim.MaximalFrequent(db, opts), nil
-}
-
-// UFGrowth mines all itemsets whose expected support reaches minExpSup
-// with the UF-growth prefix-tree algorithm; its output is identical to
-// MineExpectedSupport.
-func UFGrowth(db *Database, minExpSup float64) []FrequentItemset {
-	return pfim.UFGrowth(db, minExpSup)
 }
 
 // ItemDatabase is an uncertain database under *attribute-level*
@@ -394,19 +376,6 @@ func MineClosedExact(d ExactDataset, minSup int) []ExactPattern {
 	return exact.MineClosed(d, minSup)
 }
 
-// HMine mines all frequent itemsets of exact data with the H-mine
-// hyper-structure algorithm; output identical to MineFrequentExact.
-func HMine(d ExactDataset, minSup int) []ExactPattern {
-	return exact.HMine(d, minSup)
-}
-
-// UHMine mines all itemsets with expected support ≥ minExpSup using the
-// UH-mine hyper-structure algorithm; output identical to
-// MineExpectedSupport and UFGrowth.
-func UHMine(db *Database, minExpSup float64) []FrequentItemset {
-	return pfim.UHMine(db, minExpSup)
-}
-
 // FreqProb returns the exact frequent probability Pr_F(X) by possible-world
 // enumeration; db must have at most 26 transactions. Intended for
 // validation and small examples; the miner itself uses dynamic programming.
@@ -456,21 +425,12 @@ func PaperExample() *Database { return uncertain.PaperExample() }
 // maintained too (TrackTails), making FrequentItemsContext O(1) per item.
 type Window = stream.Window
 
-// StreamWindow is the window type under its original facade name.
-//
-// Deprecated: use Window — the two names alias the same type.
-type StreamWindow = stream.Window
-
 // StreamItem is one probabilistically frequent item of a window query.
 type StreamItem = stream.ItemResult
 
 // StreamOptions configures a Window frequent-items query; it is
 // validated through the same Canonical() convention as Options.
 type StreamOptions = stream.Options
-
-// NewStreamWindow creates a sliding window over the most recent size
-// transactions. It is stream-facade shorthand for NewWindow.
-func NewStreamWindow(size int) (*StreamWindow, error) { return stream.NewWindow(size) }
 
 // NewWindow creates a sliding window over the most recent size
 // transactions.

@@ -154,16 +154,9 @@ func TestFacadeExtendedAPI(t *testing.T) {
 	db := pfcim.PaperExample()
 	opts := pfcim.FrequentOptions{MinSup: 2, PFT: 0.8}
 
-	td, err := pfcim.MineFrequentTopDown(db, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bu, err := pfcim.MineFrequent(db, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(td) != len(bu) {
-		t.Errorf("top-down found %d PFIs, bottom-up %d", len(td), len(bu))
 	}
 	if got, err := pfcim.CountFrequent(db, opts); err != nil || got != len(bu) {
 		t.Errorf("CountFrequent = %d (err %v), want %d", got, err, len(bu))
@@ -180,8 +173,8 @@ func TestFacadeExtendedAPI(t *testing.T) {
 	if _, err := pfcim.MineFrequent(db, pfcim.FrequentOptions{MinSup: -1, PFT: 0.5}); err == nil {
 		t.Error("MineFrequent accepted negative MinSup")
 	}
-	if _, err := pfcim.MineFrequentTopDown(db, pfcim.FrequentOptions{MinSup: 2, PFT: 1.2}); err == nil {
-		t.Error("MineFrequentTopDown accepted PFT > 1")
+	if _, err := pfcim.MineFrequent(db, pfcim.FrequentOptions{MinSup: 2, PFT: 1.2}); err == nil {
+		t.Error("MineFrequent accepted PFT > 1")
 	}
 	if _, err := pfcim.MaximalFrequent(db, pfcim.FrequentOptions{MinSup: 2, PFT: -0.1}); err == nil {
 		t.Error("MaximalFrequent accepted negative PFT")
@@ -192,10 +185,8 @@ func TestFacadeExtendedAPI(t *testing.T) {
 	if canon, err := pfcim.CanonicalFrequentOptions(pfcim.FrequentOptions{PFT: 0.3, DisableCH: true}); err != nil || canon.MinSup != 1 || canon.DisableCH {
 		t.Errorf("CanonicalFrequentOptions = %+v err %v, want MinSup 1, DisableCH cleared", canon, err)
 	}
-	uf := pfcim.UFGrowth(db, 2.0)
-	es := pfcim.MineExpectedSupport(db, 2.0)
-	if len(uf) != len(es) {
-		t.Errorf("UFGrowth %d vs ExpectedSupport %d", len(uf), len(es))
+	if es := pfcim.MineExpectedSupport(db, 2.0); len(es) != 7 {
+		t.Errorf("MineExpectedSupport found %d itemsets, want the 7 non-empty subsets of abc", len(es))
 	}
 	if psup := pfcim.ProbabilisticSupport(db, pfcim.NewItemset(0, 1, 2), 0.8); psup < 2 {
 		t.Errorf("ProbabilisticSupport = %d", psup)
