@@ -41,7 +41,8 @@ type Sampler struct {
 // is known before any draw (clause 0, which no earlier clause can beat; a
 // clause some earlier clause contains; a zero-probability clause, which
 // never scores) skip their worlds wholesale, and build the sampler table
-// only if the skip needs it (poibin.CondSampler.ResetSkip). The others are
+// only when it takes one to show that the clause's constraint has nonzero
+// probability (poibin.CondSampler.ResetSkip). The others are
 // walked by poibin.CondSampler.CountCovers, eight worlds at a time where
 // the CPU allows.
 //

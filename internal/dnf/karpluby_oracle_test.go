@@ -21,7 +21,7 @@ import (
 type oracleSampler struct {
 	probs []float64
 	k, n  int
-	pone  []float64 // entry [i][r] at r·n+i; NaN where tail[i][r] = 0
+	pone  []float64 // entry [i][r] at r·n+i; NaN where tail[i][r] = 0, never walked
 }
 
 func newOracleSampler(probs []float64, k int) (*oracleSampler, error) {
@@ -41,7 +41,7 @@ func newOracleSampler(probs []float64, k int) (*oracleSampler, error) {
 		row[0] = 1
 		for r := 1; r <= k; r++ {
 			succ := next[r-1]
-			row[r] = p*succ + (1-p)*next[r]
+			row[r] = float64(p*succ) + float64((1-p)*next[r])
 		}
 	}
 	if tail[k] <= 0 {
@@ -63,7 +63,8 @@ func newOracleSampler(probs []float64, k int) (*oracleSampler, error) {
 }
 
 // sampleWords draws one world, walking every position, into the dense
-// words of a cleared present-set: bit tids[i] is set iff x_i = 1.
+// words of a cleared present-set: bit tids[i] is set iff x_i = 1. It
+// panics if the walk enters a NaN cell, which no walk can reach.
 func (cs *oracleSampler) sampleWords(rng *poibin.SM64, tids []int, words []uint64) {
 	r := cs.k
 	for i := 0; i < cs.n; i++ {
@@ -71,7 +72,7 @@ func (cs *oracleSampler) sampleWords(rng *poibin.SM64, tids []int, words []uint6
 		if r == 0 {
 			on = rng.Float64() < cs.probs[i]
 		} else if p := cs.pone[r*cs.n+i]; p != p {
-			on = true // forced success, no draw
+			panic(fmt.Sprintf("dnf: oracle walk reached NaN cell (%d, %d) of n=%d k=%d", i, r, cs.n, cs.k))
 		} else {
 			on = rng.Float64() < p
 		}
@@ -182,13 +183,14 @@ type oracleCase struct {
 }
 
 // tinyProb is small enough that the probability of two such tuples both
-// being present underflows float64 — the source of forced (NaN) cells.
+// being present underflows float64 — the source of NaN cells, which sit in
+// a sampler table's band but which no walk reaches.
 const tinyProb = 1e-170
 
 // randomOracleCase draws an instance whose shape knobs — tuple count,
 // clause count, probability mix, MinSup and zeroed clause probabilities —
 // all come from rng, so fuzzing the seed covers every sampler path:
-// underflowing (forced) tables, more than 64 clauses, zero-probability
+// underflowing tables with NaN cells, more than 64 clauses, zero-probability
 // clauses, nested and duplicate clauses, sparse tidsets, and MinSup from 0
 // to the full tidset size.
 func randomOracleCase(rng *rand.Rand) oracleCase {
@@ -307,7 +309,7 @@ func TestKarpLubyMatchesOracle(t *testing.T) {
 // from them would leave the differential test vacuous there.
 func TestKarpLubyOracleCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	var forced, wide, zeroProb, minSupZero, minSupFull bool
+	var nanBand, wide, zeroProb, minSupZero, minSupFull bool
 	for trial := 0; trial < 400; trial++ {
 		c := randomOracleCase(rng)
 		s := c.sys
@@ -317,19 +319,19 @@ func TestKarpLubyOracleCoverage(t *testing.T) {
 		for i, p := range c.clauseProbs {
 			zeroProb = zeroProb || (p == 0 && i < s.M()-1)
 		}
-		forced = forced || hasForcedClause(s)
+		nanBand = nanBand || hasNaNClause(s)
 	}
-	for name, ok := range map[string]bool{"forced table": forced, ">64 clauses": wide, "zero-probability clause": zeroProb, "MinSup 0": minSupZero, "MinSup n": minSupFull} {
+	for name, ok := range map[string]bool{"NaN cell in band": nanBand, ">64 clauses": wide, "zero-probability clause": zeroProb, "MinSup 0": minSupZero, "MinSup n": minSupFull} {
 		if !ok {
 			t.Errorf("oracle cases never cover: %s", name)
 		}
 	}
 }
 
-// hasForcedClause reports whether some clause's sampler table has a NaN
-// cell inside the walk's band k−i ≤ r ≤ n−i: a table the estimator must
-// walk to the end instead of skipping.
-func hasForcedClause(s *System) bool {
+// hasNaNClause reports whether some clause's sampler table has a NaN cell
+// inside the walk's band k−i ≤ r ≤ n−i, where the oracle walk checks that
+// it is never entered.
+func hasNaNClause(s *System) bool {
 	for _, bi := range s.Clauses {
 		cs, err := newOracleSampler(s.probsOf(bi), s.MinSup)
 		if err != nil {

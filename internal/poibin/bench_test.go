@@ -15,7 +15,7 @@ func benchProbs(n int) []float64 {
 }
 
 // The exact DP tail is the miner's hottest numeric kernel; the analytic
-// bounds and the normal approximation are its cheap stand-ins. These
+// bounds are its cheap stand-ins. These
 // benchmarks quantify the gap that makes Chernoff-Hoeffding pruning
 // (Lemma 4.1) worthwhile.
 
@@ -40,14 +40,6 @@ func BenchmarkTailUpperBoundN1000(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		TailUpperBound(probs, 600)
-	}
-}
-
-func BenchmarkNormalTailN1000(b *testing.B) {
-	probs := benchProbs(1000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NormalTail(probs, 600)
 	}
 }
 

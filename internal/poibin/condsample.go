@@ -37,14 +37,9 @@ type CondSampler struct {
 	// unconditioned phase as one recurrence. Of rows r ≥ 1 only the band
 	// max(1, k−i) ≤ r ≤ min(k, n−i) is written; a trailing padding column
 	// keeps the scalar walk's loads of the next column in bounds. A cell is
-	// NaN when
-	// tail[i][r] underflowed to 0, marking the numerically impossible
-	// branch where only the forced-success path remains and no draw is
-	// consumed.
-	tab []float64
-	// forced reports that the band holds a NaN cell, which makes the
-	// number of draws per sample path-dependent.
-	forced     bool
+	// NaN where tail[i][r] underflowed to 0; no walk reaches one (DESIGN
+	// §13), so every world draws exactly n times.
+	tab        []float64
 	rowA, rowB []float64
 }
 
@@ -70,7 +65,7 @@ func (cs *CondSampler) Reset(probs []float64, k int) error {
 	if err != nil {
 		return err
 	}
-	cs.k, cs.n, cs.forced = k, n, false
+	cs.k, cs.n = k, n
 	stride := k + 1
 	cs.tab = grow(cs.tab, (n+1)*stride)
 	tab := cs.tab
@@ -90,9 +85,7 @@ func (cs *CondSampler) Reset(probs []float64, k int) error {
 	for i := n - 1; i >= 0; i-- {
 		lo, hi := max(1, k-i), min(k, n-i)
 		col := tab[i*stride : (i+1)*stride]
-		if bandCells(col[lo:hi+1], row[lo:hi+1], next[lo-1:hi+1], probs[i]) {
-			cs.forced = true
-		}
+		bandCells(col[lo:hi+1], row[lo:hi+1], next[lo-1:hi+1], probs[i])
 		next, row = row, next
 	}
 	cs.prob = next[k]
@@ -103,13 +96,12 @@ func (cs *CondSampler) Reset(probs []float64, k int) error {
 }
 
 // ResetSkip prepares cs to Skip worlds of the constraint Σ x_i ≥ k and
-// returns Reset's errors. It builds the table only when Skip needs it:
-// every in-band tail is at least the product of the last k probabilities
-// (the world where those tuples are present), so when that product is
-// ≥ 2⁻⁹⁰⁰ no tail can round to 0 — the table has no forced cell and a
-// nonzero probability — and Skip is a jump of n draws per world. Until the
-// next Reset, Covers and CountCovers must not be called and Prob is
-// meaningless.
+// returns Reset's errors. Skip needs no table, only n; the table is built
+// only to decide whether Pr[Σ x_i ≥ k] is 0. Every in-band tail is at
+// least the product of the last k probabilities (the world where those
+// tuples are present), so when that product is ≥ 2⁻⁹⁰⁰ no tail can round
+// to 0 and Prob() > 0 is proved without one. Until the next Reset, Covers
+// and CountCovers must not be called and Prob is meaningless.
 func (cs *CondSampler) ResetSkip(probs []float64, k int) error {
 	n := len(probs)
 	k, err := checkConstraint(n, k)
@@ -122,7 +114,7 @@ func (cs *CondSampler) ResetSkip(probs []float64, k int) error {
 			return cs.Reset(probs, k)
 		}
 	}
-	cs.k, cs.n, cs.forced = k, n, false
+	cs.k, cs.n = k, n
 	return nil
 }
 
@@ -150,16 +142,15 @@ func (cs *CondSampler) Prob() float64 { return cs.prob }
 
 // CountCovers draws samples conditioned worlds one after another, exactly
 // as that many Covers calls would, and returns how many of them cover
-// want; rng ends where those calls leave it. With one mask word per
-// position and no forced cell, each world consumes exactly n draws unless
-// a Float64 retry falls inside it, so eight consecutive worlds whose draws
-// hold no retry are independent: world j starts j·n draws on. The vector
-// walker runs those eight in lockstep; everything else — wider masks,
-// forced tables, groups with a retry and the last fewer than eight — walks
-// one world at a time.
+// want; rng ends where those calls leave it. Each world consumes exactly
+// n draws unless a Float64 retry falls inside it, so eight consecutive
+// worlds whose draws hold no retry are independent: world j starts j·n
+// draws on. With one mask word per position the vector walker runs those
+// eight in lockstep; everything else — wider masks, groups with a retry
+// and the last fewer than eight — walks one world at a time.
 func (cs *CondSampler) CountCovers(rng *SM64, masks, want, acc []uint64, samples int) int {
 	hits := 0
-	vector := useAVX2 && !cs.forced && len(want) == 1 && want[0] != 0
+	vector := useAVX2 && len(want) == 1 && want[0] != 0
 	for samples > 0 {
 		if vector && samples >= lanes && rng.retryGap() >= uint64(lanes*cs.n) {
 			hits += cs.walkLanes(rng, masks, want[0])
@@ -179,28 +170,24 @@ func (cs *CondSampler) CountCovers(rng *SM64, masks, want, acc []uint64, samples
 // words per position, position i's at masks[i·w : (i+1)·w], none with a
 // bit outside want, and acc (w words) is caller scratch. The draw stops as
 // soon as the verdict is in, but rng always ends exactly where walking all
-// n positions would leave it: the draws the world did not need are skipped
-// by counter (each remaining step consumes one draw), or, when a forced
-// cell is reachable and the count is path-dependent, walked without
-// bookkeeping. An empty want is covered before the first draw.
+// n positions would leave it: every step draws once, so the draws the
+// world did not need are skipped by counter. An empty want is covered
+// before the first draw.
 func (cs *CondSampler) Covers(rng *SM64, masks, want, acc []uint64) bool {
-	i, r, hit := 0, cs.k, true
+	i, hit := 0, true
 	switch {
 	case len(want) == 1 && want[0] != 0:
-		i, r, hit = cs.walk1(rng, masks, want[0])
+		i, hit = cs.walk1(rng, masks, want[0])
 	case len(want) > 1:
-		i, r, hit = cs.walkN(rng, masks, want, acc)
+		i, hit = cs.walkN(rng, masks, want, acc)
 	}
-	if hit {
-		cs.finish(rng, i, r)
-	}
+	rng.SkipFloat64(cs.n - i)
 	return hit
 }
 
 // walk1 is the walk of Covers for one mask word per position. It returns
-// where the walk stopped — the next position i and the successes r still
-// owed — and whether the masks were covered; on a miss it has walked all n
-// positions.
+// the next position i where the walk stopped and whether the masks were
+// covered; on a miss it has walked all n positions.
 //
 // A success is as likely as the cell, so the walk is branchless on it.
 // Non-negative doubles order like their bit patterns, so the draw is
@@ -210,11 +197,11 @@ func (cs *CondSampler) Covers(rng *SM64, masks, want, acc []uint64) bool {
 // the next step are neighbours, loaded before the draw resolves and
 // selected by s, so the table latency overlaps the compare instead of
 // serializing behind it. Once the constraint is met the walk reads row 0,
-// p_i, with no dependence between steps. The forced cell, the end of the
-// conditioned phase and the verdict are the only branches, and all three
-// are predictable. The generator lives in a local for the walk so its
-// state stays in a register.
-func (cs *CondSampler) walk1(rng *SM64, masks []uint64, want uint64) (int, int, bool) {
+// p_i, with no dependence between steps. The end of the conditioned phase
+// and the verdict are the only branches, and both are predictable. The
+// generator lives in a local for the walk so its state stays in a
+// register.
+func (cs *CondSampler) walk1(rng *SM64, masks []uint64, want uint64) (int, bool) {
 	st := rng.state
 	n, stride := cs.n, cs.k+1
 	masks = masks[:n]
@@ -227,14 +214,11 @@ func (cs *CondSampler) walk1(rng *SM64, masks []uint64, want uint64) (int, int, 
 		next := idx + stride
 		fail := math.Float64bits(tab[next])
 		succ := math.Float64bits(tab[next-1])
-		s := uint64(1)
-		if cur < nanBits {
-			var u uint64
-			st, u = nextFloatBits(st)
-			// Both bit patterns are below 2⁶³, so u − cur wraps to a
-			// set top bit exactly when u < cur.
-			s = (u - cur) >> 63
-		} // else a NaN cell: forced success, no draw.
+		var u uint64
+		st, u = nextFloatBits(st)
+		// Both bit patterns are below 2⁶³, so u − cur wraps to a set top
+		// bit exactly when u < cur.
+		s := (u - cur) >> 63
 		sm := -s
 		r -= int(s)
 		idx = next - int(s)
@@ -242,7 +226,7 @@ func (cs *CondSampler) walk1(rng *SM64, masks []uint64, want uint64) (int, int, 
 		acc |= masks[i] & sm
 		if acc == want {
 			rng.state = st
-			return i + 1, r, true
+			return i + 1, true
 		}
 	}
 	// Constraint met; the rest is unconditioned.
@@ -253,16 +237,16 @@ func (cs *CondSampler) walk1(rng *SM64, masks []uint64, want uint64) (int, int, 
 		acc |= masks[i] & sm
 		if acc == want {
 			rng.state = st
-			return i + 1, 0, true
+			return i + 1, true
 		}
 	}
 	rng.state = st
-	return n, 0, false
+	return n, false
 }
 
 // walkN is walk1 for w = len(want) > 1 mask words per position, with acc
 // as scratch for the running union.
-func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, int, bool) {
+func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, bool) {
 	w, need := len(want), 0
 	for j, b := range want {
 		need += bits.OnesCount64(b)
@@ -279,7 +263,7 @@ func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, int, bo
 		return need == 0
 	}
 	if need == 0 {
-		return 0, cs.k, true
+		return 0, true
 	}
 	st := rng.state
 	n, stride := cs.n, cs.k+1
@@ -291,19 +275,16 @@ func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, int, bo
 		next := idx + stride
 		fail := math.Float64bits(tab[next])
 		succ := math.Float64bits(tab[next-1])
-		s := uint64(1)
-		if cur < nanBits {
-			var u uint64
-			st, u = nextFloatBits(st)
-			s = (u - cur) >> 63
-		}
+		var u uint64
+		st, u = nextFloatBits(st)
+		s := (u - cur) >> 63
 		sm := -s
 		r -= int(s)
 		idx = next - int(s)
 		cur = fail ^ (fail^succ)&sm
 		if cover(i, sm) {
 			rng.state = st
-			return i + 1, r, true
+			return i + 1, true
 		}
 	}
 	for ; i < n; i++ {
@@ -311,17 +292,12 @@ func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, int, bo
 		st, u = nextFloatBits(st)
 		if cover(i, -((u - math.Float64bits(tab[i*stride])) >> 63)) {
 			rng.state = st
-			return i + 1, 0, true
+			return i + 1, true
 		}
 	}
 	rng.state = st
-	return n, 0, false
+	return n, false
 }
-
-// nanBits is the smallest NaN bit pattern with the sign bit clear. No cell
-// is negative, so a cell at or above it is a NaN of either sign (a 0/0
-// divide yields one with the sign bit set).
-const nanBits = 0x7FF0000000000001
 
 // nextFloatBits is SM64.Float64 over a bare state — same draws, same
 // retries — returning the advanced state and the draw's bit pattern;
@@ -335,29 +311,9 @@ func nextFloatBits(st uint64) (uint64, uint64) {
 	return st, math.Float64bits(float64(int64(z>>1)) / (1 << 63))
 }
 
-// Skip advances rng past samples whole draws without materializing them:
+// Skip advances rng past samples whole worlds without materializing them:
 // exactly the stream Covers would consume on samples that need the full
 // walk.
 func (cs *CondSampler) Skip(rng *SM64, samples int) {
-	if !cs.forced {
-		rng.SkipFloat64(samples * cs.n)
-		return
-	}
-	for ; samples > 0; samples-- {
-		cs.finish(rng, 0, cs.k)
-	}
-}
-
-// finish consumes the rest of a walk that stands at position i owing r
-// successes.
-func (cs *CondSampler) finish(rng *SM64, i, r int) {
-	if cs.forced {
-		// Once r reaches 0 every remaining step draws once.
-		for ; i < cs.n && r > 0; i++ {
-			if p := cs.tab[i*(cs.k+1)+r]; p != p || rng.Float64() < p {
-				r--
-			}
-		}
-	}
-	rng.SkipFloat64(cs.n - i)
+	rng.SkipFloat64(samples * cs.n)
 }

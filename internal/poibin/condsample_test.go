@@ -9,7 +9,8 @@ import (
 
 // Sample fills dst (length n) with one conditioned draw, walking every
 // position: the materializing reference the distribution tests use. It
-// panics if dst has the wrong length.
+// panics if dst has the wrong length or the walk enters a NaN cell, which
+// no walk can reach (DESIGN §13).
 func (cs *CondSampler) Sample(rng *SM64, dst []bool) {
 	if len(dst) != cs.n {
 		panic(fmt.Sprintf("poibin: Sample dst length %d, want %d", len(dst), cs.n))
@@ -17,14 +18,118 @@ func (cs *CondSampler) Sample(rng *SM64, dst []bool) {
 	r := cs.k
 	for i := 0; i < cs.n; i++ {
 		// Row 0 holds p_i: once the constraint is met the rest is
-		// unconditioned. NaN flags the numerically impossible branch where
-		// the success path is forced and no draw is consumed.
+		// unconditioned.
 		p := cs.tab[i*(cs.k+1)+r]
-		dst[i] = p != p || rng.Float64() < p
+		if p != p {
+			panic(fmt.Sprintf("poibin: walk reached NaN cell (%d, %d) of n=%d k=%d", i, r, cs.n, cs.k))
+		}
+		dst[i] = rng.Float64() < p
 		if dst[i] && r > 0 {
 			r--
 		}
 	}
+}
+
+// bandNaN reports whether cs's table holds a NaN cell — a suffix tail that
+// underflowed to 0 — inside the band max(1, k−i) ≤ r ≤ min(k, n−i).
+func bandNaN(cs *CondSampler) bool {
+	for i := 0; i < cs.n; i++ {
+		for r := max(1, cs.k-i); r <= min(cs.k, cs.n-i); r++ {
+			if p := cs.tab[i*(cs.k+1)+r]; p != p {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// reachableNaN walks every cell of rows r ≥ 1 a conditioned world can
+// reach in cs's table — a success edge only from a cell > 0, a fail edge
+// only from a cell < 1, as a draw u ∈ [0, 1) with u < cell allows — and
+// returns the first NaN or out-of-band cell it reaches, or ok.
+func reachableNaN(cs *CondSampler) (i, r int, ok bool) {
+	k, stride := cs.k, cs.k+1
+	cur := make([]bool, stride)
+	nxt := make([]bool, stride)
+	cur[k] = true
+	for i = 0; i < cs.n; i++ {
+		clear(nxt)
+		for r = 1; r <= k; r++ {
+			if !cur[r] {
+				continue
+			}
+			c := cs.tab[i*stride+r]
+			if c != c || r < k-i || r > cs.n-i {
+				return i, r, false
+			}
+			nxt[r-1] = nxt[r-1] || c > 0
+			nxt[r] = nxt[r] || c < 1
+		}
+		cur, nxt = nxt, cur
+	}
+	return 0, 0, true
+}
+
+// TestReachableCellsFinite pins the invariant that makes every world draw
+// exactly n times: no walk enters a NaN cell. A fail edge into one leaves
+// a cell whose quotient is exactly p·t/(p·t + 0) = 1, a success edge into
+// one leaves a cell whose quotient is fl(p·0)/t = 0, and the start cell's
+// tail is Prob() > 0. The corpus is every vector of length ≤ 5 over
+// values that underflow in pairs, in threes or not at all, for every k,
+// plus seeded random tables up to n = 14; it must hold in-band NaN cells,
+// or the check would be vacuous.
+func TestReachableCellsFinite(t *testing.T) {
+	vals := []float64{0, 1, 1e-170, 1e-300, math.SmallestNonzeroFloat64, 0.5, 1 - 0x1p-53}
+	var cs CondSampler
+	tables, withNaN := 0, 0
+	check := func(probs []float64, k int) {
+		if cs.Reset(probs, k) != nil {
+			return
+		}
+		tables++
+		if bandNaN(&cs) {
+			withNaN++
+		}
+		if i, r, ok := reachableNaN(&cs); !ok {
+			t.Fatalf("probs %v k=%d: a walk reaches cell (%d, %d) = %v", probs, k, i, r, cs.tab[i*(k+1)+r])
+		}
+	}
+	for n := 1; n <= 5; n++ {
+		idx := make([]int, n)
+		probs := make([]float64, n)
+		for {
+			for i, j := range idx {
+				probs[i] = vals[j]
+			}
+			for k := 0; k <= n; k++ {
+				check(probs, k)
+			}
+			i := 0
+			for ; i < n && idx[i] == len(vals)-1; i++ {
+				idx[i] = 0
+			}
+			if i == n {
+				break
+			}
+			idx[i]++
+		}
+	}
+	rng := rand.New(rand.NewSource(97))
+	pool := append(vals, 1e-200)
+	for trial := 0; trial < 20000; trial++ {
+		probs := make([]float64, 1+rng.Intn(14))
+		for i := range probs {
+			probs[i] = pool[rng.Intn(len(pool))]
+			if rng.Intn(3) == 0 {
+				probs[i] = rng.Float64()
+			}
+		}
+		check(probs, rng.Intn(len(probs)+1))
+	}
+	if withNaN == 0 {
+		t.Fatalf("none of %d tables had a NaN cell in the walk's band", tables)
+	}
+	t.Logf("%d tables, %d with an in-band NaN cell", tables, withNaN)
 }
 
 func TestCondSamplerUnsatisfiable(t *testing.T) {
@@ -177,7 +282,7 @@ func TestCondSamplerTightConstraint(t *testing.T) {
 }
 
 // randomCondInstance draws probabilities from a mix that includes certain,
-// impossible and underflowing (1e-170) tuples, so some tables carry forced
+// impossible and underflowing (1e-170) tuples, so some tables carry NaN
 // cells inside the walk's band.
 func randomCondInstance(rng *rand.Rand) ([]float64, int) {
 	n := rng.Intn(30) + 1
@@ -205,7 +310,7 @@ func randomCondInstance(rng *rand.Rand) ([]float64, int) {
 func TestCoversMatchesFullWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var cs CondSampler
-	forced := 0
+	withNaN := 0
 	for trial := 0; trial < 600; trial++ {
 		probs, k := randomCondInstance(rng)
 		if err := cs.Reset(probs, k); err != nil {
@@ -215,8 +320,8 @@ func TestCoversMatchesFullWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cs.forced {
-			forced++
+		if bandNaN(&cs) {
+			withNaN++
 		}
 		n := len(probs)
 		w := rng.Intn(3) + 1
@@ -267,7 +372,7 @@ func TestCoversMatchesFullWalk(t *testing.T) {
 			t.Fatalf("trial %d: Skip(%d) differs from %d full walks", trial, samples, samples)
 		}
 	}
-	if forced == 0 {
-		t.Error("no instance had a forced cell in the walk's band")
+	if withNaN == 0 {
+		t.Error("no instance had a NaN cell in the walk's band")
 	}
 }

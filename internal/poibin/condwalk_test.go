@@ -40,8 +40,8 @@ func walkMasks(rng *rand.Rand, n, w int, dense float64) ([]uint64, uint64) {
 
 // checkCountCovers runs CountCovers and its reference from state seed and
 // fails on any difference in hits or final state. It reports whether the
-// vector walker could have run (one nonzero want word, no forced cell, at
-// least one whole group).
+// vector walker could have run (one nonzero want word, at least one whole
+// group).
 func checkCountCovers(t *testing.T, cs *CondSampler, masks, want []uint64, samples int, seed uint64) bool {
 	t.Helper()
 	ref, got := SM64{state: seed}, SM64{state: seed}
@@ -54,7 +54,7 @@ func checkCountCovers(t *testing.T, cs *CondSampler, masks, want []uint64, sampl
 		t.Fatalf("n=%d k=%d samples=%d seed=%#x: CountCovers left the generator %d draws from the Covers loop's",
 			cs.n, cs.k, samples, seed, int64((got.state-ref.state)*goldenInv))
 	}
-	return useAVX2 && !cs.forced && len(want) == 1 && want[0] != 0 && samples >= lanes
+	return useAVX2 && len(want) == 1 && want[0] != 0 && samples >= lanes
 }
 
 // TestCountCoversMatchesCovers covers every lane remainder (0…20 worlds:
@@ -91,13 +91,14 @@ func TestCountCoversMatchesCovers(t *testing.T) {
 	}
 }
 
-// TestCountCoversFallbacks checks the cases the vector walker must not
-// take against the same reference: forced tables (zero and 1e-300
-// probabilities), wants of several words, and an empty want.
+// TestCountCoversFallbacks checks against the same reference the cases the
+// vector walker must not take, wants of several words and an empty want,
+// and underflowing tables (zero and 1e-300 probabilities), whose NaN cells
+// no walk reaches, so the vector walker runs them like any other.
 func TestCountCoversFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	var cs CondSampler
-	forced := 0
+	withNaN, vectorNaN := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(120)
 		probs := make([]float64, n)
@@ -115,8 +116,9 @@ func TestCountCoversFallbacks(t *testing.T) {
 		if err := cs.Reset(probs, k); err != nil {
 			continue
 		}
-		if cs.forced {
-			forced++
+		nan := bandNaN(&cs)
+		if nan {
+			withNaN++
 		}
 		w := 1 + rng.Intn(3)
 		masks := make([]uint64, n*w)
@@ -130,10 +132,15 @@ func TestCountCoversFallbacks(t *testing.T) {
 		if rng.Intn(8) == 0 {
 			want = make([]uint64, w)
 		}
-		checkCountCovers(t, &cs, masks, want, rng.Intn(21), rng.Uint64())
+		if checkCountCovers(t, &cs, masks, want, rng.Intn(21), rng.Uint64()) && nan {
+			vectorNaN++
+		}
 	}
-	if forced == 0 {
-		t.Error("no instance had a forced table")
+	if withNaN == 0 {
+		t.Error("no instance had a NaN cell in its band")
+	}
+	if useAVX2 && vectorNaN == 0 {
+		t.Error("the vector walker ran no table with a NaN cell in its band")
 	}
 }
 
@@ -172,8 +179,8 @@ func TestCountCoversRetryWindow(t *testing.T) {
 
 // fullTable is the sampler table before the band: every cell (i, r) of
 // rows 1…k from the full suffix-tail recurrence, NaN where the tail is 0,
-// with forced set by a NaN inside the walk's band, and Pr[Σx ≥ k].
-func fullTable(probs []float64, k int) (pone [][]float64, forced bool, prob float64) {
+// and Pr[Σx ≥ k].
+func fullTable(probs []float64, k int) (pone [][]float64, prob float64) {
 	n := len(probs)
 	next := make([]float64, k+1)
 	row := make([]float64, k+1)
@@ -189,14 +196,11 @@ func fullTable(probs []float64, k int) (pone [][]float64, forced bool, prob floa
 				pone[i][r] = p * next[r-1] / denom
 			} else {
 				pone[i][r] = math.NaN()
-				if r >= k-i && r <= n-i {
-					forced = true
-				}
 			}
 		}
 		next, row = row, next
 	}
-	return pone, forced, next[k]
+	return pone, next[k]
 }
 
 // sameFloat reports bit equality, with any two NaNs equal.
@@ -204,11 +208,11 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
-// TestBandMatchesFullTable compares every in-band cell, row 0, forced and
-// Prob with the full table, for instances up to n = 300 with zero, certain
-// and underflowing probabilities. One sampler is Reset across all of them,
-// so a band edge that relied on a stale cell of a larger earlier table
-// would show.
+// TestBandMatchesFullTable compares every in-band cell, NaN cells included,
+// row 0 and Prob with the full table, for instances up to n = 300 with
+// zero, certain and underflowing probabilities. One sampler is Reset
+// across all of them, so a band edge that relied on a stale cell of a
+// larger earlier table would show.
 func TestBandMatchesFullTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	var cs CondSampler
@@ -229,7 +233,7 @@ func TestBandMatchesFullTable(t *testing.T) {
 			k = []int{0, 1, n / 3, n - 1, n}[rng.Intn(5)]
 		}
 		n := len(probs)
-		pone, forced, prob := fullTable(probs, k)
+		pone, prob := fullTable(probs, k)
 		err := cs.Reset(probs, k)
 		if (err != nil) != (prob <= 0) {
 			t.Fatalf("trial %d: Reset error %v with Pr = %v", trial, err, prob)
@@ -237,8 +241,8 @@ func TestBandMatchesFullTable(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if !sameFloat(cs.Prob(), prob) || cs.forced != forced {
-			t.Fatalf("trial %d: Prob %v forced %v, full table %v %v", trial, cs.Prob(), cs.forced, prob, forced)
+		if !sameFloat(cs.Prob(), prob) {
+			t.Fatalf("trial %d: Prob %v, full table %v", trial, cs.Prob(), prob)
 		}
 		stride := k + 1
 		for i := 0; i < n; i++ {
@@ -258,8 +262,8 @@ func TestBandMatchesFullTable(t *testing.T) {
 // adversarial vectors — products of the last k probabilities on both sides
 // of 2⁻⁹⁰⁰, zeros, underflowing pairs, subnormals and k outside [0, n] —
 // and requires the same error and the same generator state. Where the
-// precheck skipped the table, Reset must agree that it has no forced cell
-// and a nonzero probability.
+// precheck skipped the table, Reset must agree that no tail in the band
+// rounded to 0.
 func TestResetSkipMatchesReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	var fast, full CondSampler
@@ -286,6 +290,7 @@ func TestResetSkipMatchesReset(t *testing.T) {
 				probs[i] = rng.Float64()
 			}
 		}
+		fast = CondSampler{} // a table after ResetSkip is one it built
 		errFast := fast.ResetSkip(probs, k)
 		errFull := full.Reset(probs, k)
 		if fmt.Sprint(errFast) != fmt.Sprint(errFull) {
@@ -294,11 +299,10 @@ func TestResetSkipMatchesReset(t *testing.T) {
 		if errFull != nil {
 			continue
 		}
-		if fast.forced {
+		if fast.tab != nil {
 			tabled++
-		}
-		if fast.forced != full.forced {
-			t.Fatalf("trial %d: ResetSkip forced %v, Reset %v", trial, fast.forced, full.forced)
+		} else if bandNaN(&full) {
+			t.Fatalf("trial %d: ResetSkip skipped the table, Reset has a NaN cell in its band", trial)
 		}
 		samples := rng.Intn(5)
 		seed := rng.Uint64()
@@ -313,13 +317,14 @@ func TestResetSkipMatchesReset(t *testing.T) {
 		}
 	}
 	if tabled == 0 {
-		t.Error("no instance needed the table for its skip")
+		t.Error("no instance with a nonzero probability failed the precheck")
 	}
 }
 
 // FuzzCondWalk compares CountCovers with the Covers loop on instances the
-// seed shapes: size, k, probability mix (forced tables included), mask
-// density, want width, world count and a start near a retry counter.
+// seed shapes: size, k, probability mix (tables with unreachable NaN cells
+// included), mask density, want width, world count and a start near a
+// retry counter.
 func FuzzCondWalk(f *testing.F) {
 	for _, seed := range []int64{0, 1, 2, 3, 42, 1 << 40} {
 		f.Add(seed)

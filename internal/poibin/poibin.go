@@ -26,15 +26,6 @@ func Mean(probs []float64) float64 {
 	return s
 }
 
-// Variance returns Var[S] = Σ p_i (1 − p_i).
-func Variance(probs []float64) float64 {
-	s := 0.0
-	for _, p := range probs {
-		s += float64(p * (1 - p))
-	}
-	return s
-}
-
 // Tail returns Pr[S ≥ k] exactly, where S = Σ Bernoulli(p_i). Below the
 // ConvCrossoverN crossover this is dynamic programming over counts truncated
 // at k (time O(n·min(k, n+1)), space O(min(k, n+1))); at or above it, the
@@ -152,29 +143,4 @@ func TailLowerBound(probs []float64, k int) float64 {
 		return 0
 	}
 	return 1 - math.Exp(-2*t*t/float64(n))
-}
-
-// NormalTail approximates Pr[S ≥ k] with the central-limit normal
-// approximation plus continuity correction, as in the Poisson-binomial
-// acceleration of related work [23]. It is not used for exact answers, only
-// as an optional fast filter and for the approximation-model ablation.
-func NormalTail(probs []float64, k int) float64 {
-	n := len(probs)
-	if k <= 0 {
-		return 1
-	}
-	if k > n {
-		return 0
-	}
-	mu := Mean(probs)
-	v := Variance(probs)
-	if v == 0 {
-		// Deterministic sum.
-		if float64(k) <= mu+1e-12 {
-			return 1
-		}
-		return 0
-	}
-	z := (float64(k) - 0.5 - mu) / math.Sqrt(v)
-	return 0.5 * math.Erfc(z/math.Sqrt2)
 }

@@ -152,36 +152,10 @@ func TestBoundsNontrivial(t *testing.T) {
 	}
 }
 
-func TestNormalTail(t *testing.T) {
-	probs := make([]float64, 200)
-	for i := range probs {
-		probs[i] = 0.5
-	}
-	for _, k := range []int{80, 100, 120} {
-		exact := Tail(probs, k)
-		approx := NormalTail(probs, k)
-		if math.Abs(exact-approx) > 0.02 {
-			t.Errorf("NormalTail(k=%d) = %v, exact %v", k, approx, exact)
-		}
-	}
-	if NormalTail(probs, 0) != 1 || NormalTail(probs, 201) != 0 {
-		t.Error("NormalTail edge cases wrong")
-	}
-	// Degenerate: all probabilities 1.
-	ones := []float64{1, 1, 1}
-	if NormalTail(ones, 3) != 1 || NormalTail(ones, 4) != 0 {
-		t.Error("NormalTail deterministic case wrong")
-	}
-}
-
 func TestMeanVariance(t *testing.T) {
 	probs := []float64{0.25, 0.5, 1}
 	if got := Mean(probs); math.Abs(got-1.75) > 1e-15 {
 		t.Errorf("Mean = %v", got)
-	}
-	want := 0.25*0.75 + 0.5*0.5
-	if got := Variance(probs); math.Abs(got-want) > 1e-15 {
-		t.Errorf("Variance = %v, want %v", got, want)
 	}
 }
 

@@ -71,7 +71,7 @@ func axpyGeneric(dst, src []float64, a float64) {
 
 // bandCellsGeneric is the portable bandCells over len(row) cells; next must
 // hold one more.
-func bandCellsGeneric(cell, row, next []float64, p, q float64) (zero bool) {
+func bandCellsGeneric(cell, row, next []float64, p, q float64) {
 	next = next[:len(row)+1]
 	cell = cell[:len(row)]
 	for r := range row {
@@ -79,9 +79,5 @@ func bandCellsGeneric(cell, row, next []float64, p, q float64) (zero bool) {
 		t := a + float64(q*next[r+1])
 		row[r] = t
 		cell[r] = a / t
-		if t == 0 {
-			zero = true
-		}
 	}
-	return zero
 }

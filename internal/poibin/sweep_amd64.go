@@ -50,36 +50,37 @@ func axpy(dst, src []float64, a float64) {
 // for len(cell) ≥ len(row) and len(next) > len(row).
 //
 //go:noescape
-func bandCellsAVX2(cell, row, next []float64, p, q float64) bool
+func bandCellsAVX2(cell, row, next []float64, p, q float64)
 
 // walk8AVX2 walks eight conditioned worlds in lockstep over the sampler
 // table tab (column stride stride, every world starting at cell (0,
 // stride−1)), world j drawing from the generator state st[j]; masks holds
 // one word per position. It returns a bit mask of the worlds whose present
 // positions' masks cover want, bit j for world j. It trusts its caller for
-// a table without forced cells, whose band holds every cell a walk selects,
-// and for states none of whose len(masks) draws is a Float64 retry.
+// a table whose band holds every cell a walk selects, every cell a walk
+// reaches being finite (DESIGN §13), and for states none of whose
+// len(masks) draws is a Float64 retry.
 //
 //go:noescape
 func walk8AVX2(tab []float64, masks []uint64, stride int, want uint64, st *[lanes]uint64) int
 
 // bandCells computes one column of the conditional sampler's table: for
 // every r < len(row), t = p·next[r] + (1−p)·next[r+1] goes to row[r] and
-// p·next[r]/t to cell[r]. It reports whether some t is 0 (its cell is then
-// NaN). next must hold len(row)+1 entries and cell at least len(row).
-func bandCells(cell, row, next []float64, p float64) bool {
+// p·next[r]/t to cell[r], NaN where t is 0. next must hold len(row)+1
+// entries and cell at least len(row).
+func bandCells(cell, row, next []float64, p float64) {
 	if !useAVX2 {
-		return bandCellsGeneric(cell, row, next, p, 1-p)
+		bandCellsGeneric(cell, row, next, p, 1-p)
+		return
 	}
 	_, _ = cell[:len(row)], next[:len(row)+1] // the assembly does no bounds checks
-	return bandCellsAVX2(cell, row, next, p, 1-p)
+	bandCellsAVX2(cell, row, next, p, 1-p)
 }
 
 // walkLanes draws the next eight worlds of CountCovers with the vector
 // walker, world j starting j·n draws after rng's state, and leaves rng
 // eight whole walks on. The caller guarantees the walker's preconditions:
-// no forced cell, a nonzero one-word want, and no retry among the next
-// 8·n draws.
+// a nonzero one-word want and no retry among the next 8·n draws.
 func (cs *CondSampler) walkLanes(rng *SM64, masks []uint64, want uint64) int {
 	n := cs.n
 	var st [lanes]uint64

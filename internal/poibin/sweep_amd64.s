@@ -145,21 +145,18 @@ axpydone:
 	VZEROUPPER
 	RET
 
-// func bandCellsAVX2(cell, row, next []float64, p, q float64) bool
+// func bandCellsAVX2(cell, row, next []float64, p, q float64)
 //
 // Per cell: a = p·next[r], t = a + q·next[r+1], row[r] = t, cell[r] = a/t —
 // VMULPD, VMULPD, VADDPD, VDIVPD, each correctly rounded like the scalar
-// operation. Y12 collects the t == 0 lanes, DX the scalar tail's.
-TEXT ·bandCellsAVX2(SB), NOSPLIT, $0-89
+// operation.
+TEXT ·bandCellsAVX2(SB), NOSPLIT, $0-88
 	MOVQ         cell_base+0(FP), DI
 	MOVQ         row_base+24(FP), BX
 	MOVQ         row_len+32(FP), CX
 	MOVQ         next_base+48(FP), SI
 	VBROADCASTSD p+72(FP), Y14
 	VBROADCASTSD q+80(FP), Y15
-	VXORPD       Y13, Y13, Y13
-	VXORPD       Y12, Y12, Y12
-	XORL         DX, DX
 
 band4:
 	CMPQ    CX, $4
@@ -170,8 +167,6 @@ band4:
 	VMOVUPD Y1, (BX)
 	VDIVPD  Y1, Y0, Y0
 	VMOVUPD Y0, (DI)
-	VCMPPD  $0, Y13, Y1, Y1 // t == 0 (ordered)
-	VORPD   Y1, Y12, Y12
 	ADDQ    $32, SI
 	ADDQ    $32, BX
 	ADDQ    $32, DI
@@ -179,31 +174,22 @@ band4:
 	JMP     band4
 
 band1:
-	TESTQ    CX, CX
-	JEQ      banddone
-	VMOVSD   (SI), X0
-	VMULSD   X14, X0, X0
-	VMOVSD   8(SI), X1
-	VMULSD   X15, X1, X1
-	VADDSD   X1, X0, X1
-	VMOVSD   X1, (BX)
-	VDIVSD   X1, X0, X0
-	VMOVSD   X0, (DI)
-	VUCOMISD X13, X1
-	JNE      bandnext
-	JPS      bandnext           // unordered: not 0
-	MOVL     $1, DX
-
-bandnext:
-	ADDQ $8, SI
-	ADDQ $8, BX
-	ADDQ $8, DI
-	DECQ CX
-	JMP  band1
+	TESTQ  CX, CX
+	JEQ    banddone
+	VMOVSD (SI), X0
+	VMULSD X14, X0, X0
+	VMOVSD 8(SI), X1
+	VMULSD X15, X1, X1
+	VADDSD X1, X0, X1
+	VMOVSD X1, (BX)
+	VDIVSD X1, X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, BX
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    band1
 
 banddone:
-	VMOVMSKPD Y12, AX
-	ORL       DX, AX
-	SETNE     ret+88(FP)
 	VZEROUPPER
 	RET

@@ -14,10 +14,10 @@ func axpy(dst, src []float64, a float64) { axpyGeneric(dst, src, a) }
 
 // bandCells computes one column of the conditional sampler's table: for
 // every r < len(row), t = p·next[r] + (1−p)·next[r+1] goes to row[r] and
-// p·next[r]/t to cell[r]. It reports whether some t is 0 (its cell is then
-// NaN). next must hold len(row)+1 entries and cell at least len(row).
-func bandCells(cell, row, next []float64, p float64) bool {
-	return bandCellsGeneric(cell, row, next, p, 1-p)
+// p·next[r]/t to cell[r], NaN where t is 0. next must hold len(row)+1
+// entries and cell at least len(row).
+func bandCells(cell, row, next []float64, p float64) {
+	bandCellsGeneric(cell, row, next, p, 1-p)
 }
 
 // walkLanes is never reached: CountCovers runs the vector walker only when
