@@ -34,8 +34,9 @@
 //
 //	pfcimd -role=worker -addr :9101                      shard worker: holds
 //	                          range slices of registered datasets and
-//	                          answers per-shard tail-PMF RPCs under
-//	                          /shard/v1/ (plus GET /healthz)
+//	                          answers batched per-shard tail-PMF RPCs
+//	                          (POST /shard/v1/datasets, POST
+//	                          /shard/v2/eval, GET /healthz)
 //	pfcimd -role=coordinator -shard-workers :9101,:9102 -shards 4
 //	                          coordinator: the daemon above, with datasets
 //	                          range-partitioned onto the workers at

@@ -271,38 +271,52 @@ func (s *Scratch) mergeTrees(left, right []float64, k int) []float64 {
 		lo = k
 	}
 	out := s.getBuf(lo + 1)[:lo+1]
-	convMerge(out, left, right, k)
+	convMerge(out, left, right, 0)
 	s.putBuf(left)
 	s.putBuf(right)
 	return out
 }
 
 // convMerge convolves the truncated PMFs a and b into out (length
-// min(La+Lb, k)+1, overwritten), lumping mass at or above index k into
-// out[k] when out reaches that far. The i-ascending, j-ascending summation
-// order is part of the kernel's definition — it makes the result
-// deterministic across runs. Each row splits at top: the cells below it take
-// one product each (an axpy, whose cells are independent), and the products
-// from top on are absorbed into out[top] in j order. Skipping zero terms is
-// exact: adding a·0 to a non-negative partial sum reproduces it bit-for-bit.
-func convMerge(out, a, b []float64, k int) {
+// min(La+Lb, k)+1, overwritten), lumping mass at or above index top =
+// len(out)−1 into out[top]. The i-ascending, j-ascending summation order
+// is part of the kernel's definition — it makes the result deterministic
+// across runs. Each row splits at top: the cells below it take one product
+// each (an axpy, whose cells are independent), and the products from top
+// on are absorbed into out[top] in j order. Cells below floor stay zero:
+// rows that reach no cell at or above it are skipped, and the others start
+// their axpy at floor. Skipping zero terms is exact: adding a·0 to a
+// non-negative partial sum reproduces it bit-for-bit.
+func convMerge(out, a, b []float64, floor int) {
 	for i := range out {
 		out[i] = 0
 	}
 	top := len(out) - 1
 	for i, ai := range a {
-		if ai == 0 {
+		if ai == 0 || i+len(b)-1 < floor {
 			continue
 		}
 		n := 0 // row cells strictly below top
 		if i < top {
 			n = min(len(b), top-i)
-			axpy(out[i:i+n], b, ai)
+			if s := max(floor-i, 0); s < n {
+				axpy(out[i+s:i+n], b[s:], ai)
+			}
 		}
 		// One serial chain of rounded adds; a register accumulator keeps
-		// a store-to-load round trip out of every link.
+		// a store-to-load round trip out of every link. The chain is the
+		// merge's critical path; unrolling it by four, in the same order,
+		// keeps loop control off that path.
 		acc := out[top]
-		for _, bj := range b[n:] {
+		rest := b[n:]
+		for len(rest) >= 4 {
+			acc += float64(ai * rest[0])
+			acc += float64(ai * rest[1])
+			acc += float64(ai * rest[2])
+			acc += float64(ai * rest[3])
+			rest = rest[4:]
+		}
+		for _, bj := range rest {
 			acc += float64(ai * bj)
 		}
 		out[top] = acc

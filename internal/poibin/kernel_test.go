@@ -257,8 +257,8 @@ func refConvMerge(out, a, b []float64) {
 
 // TestConvMergeMatchesTextbook: convMerge's per-row axpy plus in-order
 // absorption must reproduce the textbook convolution bit for bit, for
-// truncated and untruncated outputs, rows with zero coefficients, and
-// single-cell operands.
+// truncated and untruncated outputs, rows with zero coefficients,
+// single-cell operands, and on every cell at or above a floor.
 func TestConvMergeMatchesTextbook(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	var s Scratch
@@ -269,17 +269,25 @@ func TestConvMergeMatchesTextbook(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			a[rng.Intn(len(a))] = 0
 		}
-		got := s.ConvolvePMF(a, b, k)
-		want := make([]float64, len(got))
-		refConvMerge(want, a, b)
-		for c := range want {
-			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
-				t.Fatalf("trial %d k=%d len(a)=%d len(b)=%d cell %d: got %v want %v",
-					trial, k, len(a), len(b), c, got[c], want[c])
+		// Every trial also runs at a random floor: cells at or above it
+		// must match the textbook bits, cells below it must stay zero.
+		floor := rng.Intn(k+1) - rng.Intn(2)*k
+		for _, fl := range []int{0, floor} {
+			got := s.ConvolvePMF(a, b, k, fl)
+			want := make([]float64, len(got))
+			refConvMerge(want, a, b)
+			for c := range want {
+				if c < fl {
+					want[c] = 0
+				}
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("trial %d k=%d floor=%d len(a)=%d len(b)=%d cell %d: got %v want %v",
+						trial, k, fl, len(a), len(b), c, got[c], want[c])
+				}
 			}
+			s.ReleasePMF(got)
 		}
 		s.ReleasePMF(a)
 		s.ReleasePMF(b)
-		s.ReleasePMF(got)
 	}
 }

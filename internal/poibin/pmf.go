@@ -44,13 +44,20 @@ func (s *Scratch) PMFTrunc(probs []float64, k int) []float64 {
 // j-ascending merge the convolution-tree kernel uses, so folding per-shard
 // PMFTrunc vectors left-to-right is deterministic. The inputs are read-only
 // and remain owned by the caller.
-func (s *Scratch) ConvolvePMF(a, b []float64, k int) []float64 {
+//
+// Cells below floor are left zero and not computed: a fold that only reads
+// cell k of its last merge passes k minus the most successes the parts
+// still to fold can add, since no lower cell can reach k. Every computed
+// cell keeps its products and their order, so it is bit-identical to the
+// unfloored merge. floor must not exceed k; floor ≤ 0 computes every
+// cell.
+func (s *Scratch) ConvolvePMF(a, b []float64, k, floor int) []float64 {
 	lo := len(a) + len(b) - 2
 	if lo > k {
 		lo = k
 	}
 	out := s.getBuf(lo + 1)[:lo+1]
-	convMerge(out, a, b, k)
+	convMerge(out, a, b, floor)
 	return out
 }
 

@@ -87,7 +87,7 @@ func TestConvolvePMFSplitFold(t *testing.T) {
 		fold := func() float64 {
 			a := s.PMFTrunc(probs[:cut], k)
 			b := s.PMFTrunc(probs[cut:], k)
-			m := s.ConvolvePMF(a, b, k)
+			m := s.ConvolvePMF(a, b, k, 0)
 			got := TailOfPMF(m, k)
 			s.ReleasePMF(a)
 			s.ReleasePMF(b)
@@ -114,7 +114,7 @@ func TestConvolvePMFIdentity(t *testing.T) {
 	k := 3
 	v := s.PMFTrunc(probs, k)
 	one := s.PMFTrunc(nil, k)
-	m := s.ConvolvePMF(v, one, k)
+	m := s.ConvolvePMF(v, one, k, 0)
 	if len(m) != len(v) {
 		t.Fatalf("identity merge changed length: %d != %d", len(m), len(v))
 	}

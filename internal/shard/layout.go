@@ -72,14 +72,25 @@ func Slice(db *uncertain.DB, l Layout, i int) []uncertain.Transaction {
 // (memoized worker vectors pass through unharmed); intermediates come from
 // and return to the scratch freelist. An empty parts list or a merged
 // vector shorter than k+1 means fewer than k tuples exist: the tail is 0.
+//
+// Only cell k of the last merge is read, so each merge skips the cells
+// that cannot reach it: below k minus the most successes the parts still
+// to fold can add, Σ (len−1) over them. The last merge computes the
+// absorbing cell alone. Computed cells keep their products and order, so
+// the tail is bit-identical to the full fold.
 func TailParts(s *poibin.Scratch, parts [][]float64, k int) float64 {
 	if len(parts) == 0 {
 		return 0
 	}
+	rest := 0 // Σ (len−1) over parts[i+1:], at merge i
+	for _, p := range parts[1:] {
+		rest += len(p) - 1
+	}
 	acc := parts[0]
 	owned := false
 	for _, p := range parts[1:] {
-		next := s.ConvolvePMF(acc, p, k)
+		rest -= len(p) - 1
+		next := s.ConvolvePMF(acc, p, k, k-rest)
 		if owned {
 			s.ReleasePMF(acc)
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -157,9 +158,75 @@ func TestTailPartsMatchesWhole(t *testing.T) {
 	}
 }
 
+// TestTailPartsMatchesFullFold: skipping the cells below each merge's
+// floor must leave the tail bit-identical to the full left-to-right fold.
+// The corpus covers 2–4 shards with summed part lengths below, at and far
+// above k, empty parts, tuples with p = 1 and p = 0 (zero cells), and
+// single-tuple shards.
+func TestTailPartsMatchesFullFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var s poibin.Scratch
+	fullFold := func(parts [][]float64, k int) float64 {
+		acc := parts[0]
+		for _, p := range parts[1:] {
+			acc = s.ConvolvePMF(acc, p, k, 0)
+		}
+		return poibin.TailOfPMF(acc, k)
+	}
+	var below, at, above int
+	for trial := 0; trial < 4000; trial++ {
+		n := 2 + rng.Intn(3)
+		k := 1 + rng.Intn(40)
+		var total int
+		switch trial % 3 {
+		case 0:
+			total = rng.Intn(k) // Σ lengths < k: the tail is 0
+		case 1:
+			total = k
+		default:
+			total = k + 1 + rng.Intn(8*k)
+		}
+		probs := make([]float64, total)
+		for i := range probs {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				probs[i] = 1
+			case r == 1:
+				probs[i] = 0
+			default:
+				probs[i] = rng.Float64()
+			}
+		}
+		l := Layout{N: n, Total: total}
+		parts := make([][]float64, n)
+		sum := 0
+		for i := range parts {
+			lo, hi := l.Bounds(i)
+			parts[i] = s.PMFTrunc(probs[lo:hi], k)
+			sum += len(parts[i]) - 1
+		}
+		switch {
+		case sum < k:
+			below++
+		case sum == k:
+			at++
+		default:
+			above++
+		}
+		got := TailParts(&s, parts, k)
+		want := fullFold(parts, k)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d n=%d k=%d total=%d: TailParts %v, full fold %v", trial, n, k, total, got, want)
+		}
+	}
+	if below == 0 || at == 0 || above == 0 {
+		t.Fatalf("corpus covered Σ(len−1) below k %d, at k %d, above k %d times; want all > 0", below, at, above)
+	}
+}
+
 // TestWorkerClientRoundTrip places a dataset on two httptest workers and
-// checks that remote evaluation returns exactly the local evaluator's
-// values (JSON round-trips float64 bit-exactly).
+// checks that one batched remote evaluation returns exactly the local
+// evaluator's values for every query (the frame carries float64 bits).
 func TestWorkerClientRoundTrip(t *testing.T) {
 	db := testDB(t)
 	srv1 := httptest.NewServer(NewWorker(nil))
@@ -185,9 +252,10 @@ func TestWorkerClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := itemset.FromInts(0)
-	parts, ok := sess.TailPMFs(x, 1, 2)
-	if !ok || len(parts) != shards {
-		t.Fatalf("TailPMFs ok=%v len=%d", ok, len(parts))
+	qs := []Query{{Items: x, Ext: 1}, {Ext: 2}, {Items: itemset.FromInts(1, 2), Ext: -1}}
+	out, ok := sess.TailPMFs(qs, 2)
+	if !ok || len(out) != len(qs) {
+		t.Fatalf("TailPMFs ok=%v len=%d", ok, len(out))
 	}
 	l := Layout{N: shards, Total: db.N()}
 	for i := 0; i < shards; i++ {
@@ -195,13 +263,16 @@ func TestWorkerClientRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ev.TailPMF(x, 1, 2)
-		if len(parts[i]) != len(want) {
-			t.Fatalf("shard %d: wire PMF length %d, want %d", i, len(parts[i]), len(want))
-		}
-		for j := range want {
-			if parts[i][j] != want[j] {
-				t.Fatalf("shard %d: wire PMF[%d] = %v, local %v (not bit-exact)", i, j, parts[i][j], want[j])
+		for n, q := range qs {
+			want := ev.TailPMF(q.Items, q.Ext, 2)
+			got := out[n][i]
+			if len(got) != len(want) {
+				t.Fatalf("query %d shard %d: wire PMF length %d, want %d", n, i, len(got), len(want))
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("query %d shard %d: wire PMF[%d] = %v, local %v (not bit-exact)", n, i, j, got[j], want[j])
+				}
 			}
 		}
 	}
@@ -250,8 +321,8 @@ func TestSessionFailsJobOnDeadWorker(t *testing.T) {
 
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := sess.TailPMFs(itemset.FromInts(0), 1, 2)
-		done <- ok
+		out, ok := sess.TailPMFs([]Query{{Items: itemset.FromInts(0), Ext: 1}}, 2)
+		done <- ok && out != nil
 	}()
 	select {
 	case ok := <-done:
@@ -368,10 +439,11 @@ func TestSessionTracedEvalImportsWorkerSpans(t *testing.T) {
 	sess.SetTracer(tr)
 
 	x := itemset.FromInts(0)
-	parts, ok := sess.TailPMFs(x, 1, 2)
+	out, ok := sess.TailPMFs([]Query{{Items: x, Ext: 1}}, 2)
 	if !ok {
 		t.Fatal("traced TailPMFs failed")
 	}
+	parts := out[0]
 
 	// Byte-identity against the local evaluator, exactly as the untraced
 	// round-trip test checks.
@@ -459,7 +531,7 @@ func TestTraceIDHeaderReachesWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sess.TailPMFs(itemset.FromInts(0), 1, 2); !ok {
+	if _, ok := sess.TailPMFs([]Query{{Items: itemset.FromInts(0), Ext: 1}}, 2); !ok {
 		t.Fatal("TailPMFs failed")
 	}
 
@@ -491,8 +563,9 @@ func TestWorkerRejectsUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range []string{"factor", "", "PMF"} {
-		body, _ := json.Marshal(EvalRequest{Dataset: "t", Op: op, Items: []int{0}, Ext: 1, K: 2})
-		resp, err := http.Post(srv.URL+"/shard/v1/eval", "application/json", bytes.NewReader(body))
+		req := EvalRequest{Dataset: "t", Op: op, Queries: []Query{{Items: itemset.FromInts(0), Ext: 1}}, K: 2}
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(srv.URL+evalPath, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,9 +580,7 @@ func TestWorkerRejectsUnknownOp(t *testing.T) {
 		}
 		// Through the client the rejection is an error, which a session
 		// turns into the job-failing RPCError.
-		var out EvalResponse
-		if err := c.call(context.Background(), srv.URL, "/shard/v1/eval",
-			EvalRequest{Dataset: "t", Op: op, Items: []int{0}, Ext: 1, K: 2}, &out); err == nil ||
+		if _, err := c.eval(context.Background(), srv.URL, req); err == nil ||
 			!strings.Contains(err.Error(), "status 400") {
 			t.Errorf("op %q: client call error %v, want status 400", op, err)
 		}
@@ -519,15 +590,15 @@ func TestWorkerRejectsUnknownOp(t *testing.T) {
 // TestWorkerRejectsOversizedEval: an eval body beyond the fixed cap is
 // refused with a structured 413 before it is decoded.
 func TestWorkerRejectsOversizedEval(t *testing.T) {
-	items := make([]int, maxEvalBody/2)
-	body, _ := json.Marshal(EvalRequest{Dataset: "t", Op: OpPMF, Items: items, K: 2})
+	items := make(itemset.Itemset, maxEvalBody/2)
+	body, _ := json.Marshal(EvalRequest{Dataset: "t", Op: OpPMF, Queries: []Query{{Items: items}}, K: 2})
 	if len(body) <= maxEvalBody {
 		t.Fatalf("test body %d bytes does not exceed the %d-byte cap", len(body), maxEvalBody)
 	}
 	// Served in-process: over a real connection the server lingers before
 	// closing on an unread oversized body, which only slows the test.
 	rec := httptest.NewRecorder()
-	NewWorker(nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/v1/eval", bytes.NewReader(body)))
+	NewWorker(nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, evalPath, bytes.NewReader(body)))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", rec.Code)
 	}
