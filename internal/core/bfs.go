@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/probdata/pfcim/internal/bitset"
 	"github.com/probdata/pfcim/internal/itemset"
-	"github.com/probdata/pfcim/internal/poibin"
 )
 
 // bfsNode is one itemset of the current level in the breadth-first
@@ -88,15 +87,12 @@ func (m *miner) mineBFS() error {
 					continue
 				}
 				rec := extension{item: c.item, tids: buf, cnt: cc}
-				probs := m.probsOf(buf)
-				if !m.opts.DisableCH {
-					if poibin.TailUpperBound(probs, m.opts.MinSup) <= m.opts.PFCT {
-						m.stats.CHPruned++
-						exts = append(exts, rec)
-						continue
-					}
+				prF, pruned := m.boundedTail(buf, node.items, c.item, nil)
+				if pruned {
+					exts = append(exts, rec)
+					continue
 				}
-				rec.prF, rec.hasPrF = m.tailOf(buf, probs, node.items, c.item), true
+				rec.prF, rec.hasPrF = prF, true
 				if rec.prF <= m.opts.PFCT {
 					m.stats.FreqPruned++
 				}
