@@ -8,7 +8,14 @@ package poibin
 //   - sweepDown folds one Bernoulli(p) tuple into a band of a PMF:
 //     d[c] ← d[c]·q + d[c−1]·p for c = hi…lo, walking downward so each cell
 //     still reads the previous round's neighbour.
-//   - axpy adds one scaled row of a truncated convolution: dst[j] += a·src[j].
+//   - axpy adds one scaled row of a truncated convolution below its
+//     absorbing cell: dst[j] += a·src[j].
+//
+// The tail DP does not pay a call per round: on amd64 with AVX2 one
+// routine, tailDPAVX2, runs all of a tail's rounds with sweepDownAVX2's
+// body inline, VEX-encoded scalar code between the blocks, and each band
+// widened downward to whole eight-cell blocks through cells below the DP's
+// floor, which no later round reads. Its bits equal tailDP's.
 //
 // The conditional sampler's table build (condsample.go) runs a third loop of
 // the same kind, bandCells: one column of the suffix-tail recurrence,

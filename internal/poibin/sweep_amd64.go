@@ -16,6 +16,13 @@ func hasAVX2() bool
 //go:noescape
 func sweepDownAVX2(d []float64, lo, hi int, q, p float64)
 
+// tailDPAVX2 runs every round of tailDP in one routine and returns the
+// absorbing bucket before the clamp. It trusts its caller for
+// 1 ≤ k ≤ len(probs), len(dist) = k+1 and dist zeroed but for dist[0] = 1.
+//
+//go:noescape
+func tailDPAVX2(dist, probs []float64, k int) float64
+
 // axpyAVX2 is axpy four and eight cells per iteration. It trusts its caller
 // for len(src) ≥ len(dst).
 //
@@ -34,6 +41,20 @@ func sweepDown(d []float64, lo, hi int, q, p float64) {
 	}
 	_ = d[lo-1 : hi+1] // the assembly does no bounds checks
 	sweepDownAVX2(d, lo, hi, q, p)
+}
+
+// dpTail is the tail DP Scratch.Tail runs: tailDP, with every round in one
+// assembly routine where the CPU has AVX2. Both give the same bits.
+func dpTail(dist, probs []float64, k int) float64 {
+	if !useAVX2 {
+		return tailDP(dist, probs, k)
+	}
+	_ = dist[k] // the assembly does no bounds checks
+	for i := range dist {
+		dist[i] = 0
+	}
+	dist[0] = 1
+	return clampProb(tailDPAVX2(dist, probs, k))
 }
 
 // axpy sets dst[j] += a·src[j] for every j < len(dst).

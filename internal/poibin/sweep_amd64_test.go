@@ -50,6 +50,53 @@ func TestSweepDownAVX2MatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestTailDPAVX2MatchesGeneric runs the one-routine DP and the textbook DP
+// on identical vectors — certain, impossible, subnormal and generic tuples,
+// every threshold from 1 to n for short vectors and random ones for long
+// vectors, so bands of every width and both floor regimes occur — and
+// requires the same bits.
+func TestTailDPAVX2MatchesGeneric(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("CPU without AVX2: the portable DP is the only one that runs")
+	}
+	rng := rand.New(rand.NewSource(59))
+	check := func(probs []float64, k int) {
+		t.Helper()
+		want := refWindowDP(make([]float64, k+1), probs, k)
+		dist := make([]float64, k+1)
+		for i := range dist {
+			dist[i] = sweepCell(rng) // stale contents must not leak
+		}
+		if got := dpTail(dist, probs, k); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d k=%d: one-routine DP %v, textbook DP %v\nprobs=%v", len(probs), k, got, want, probs)
+		}
+	}
+	for n := 1; n <= 40; n++ {
+		for trial := 0; trial < 20; trial++ {
+			probs := make([]float64, n)
+			for i := range probs {
+				probs[i] = sweepCell(rng)
+			}
+			for k := 1; k <= n; k++ {
+				check(probs, k)
+			}
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := 41 + rng.Intn(600)
+		probs := make([]float64, n)
+		certain := rng.Float64() / 2
+		for i := range probs {
+			if rng.Float64() < certain {
+				probs[i] = 1
+			} else {
+				probs[i] = sweepCell(rng)
+			}
+		}
+		check(probs, 1+rng.Intn(n))
+	}
+}
+
 // TestAxpyAVX2MatchesGeneric is the same check for the convolution row.
 func TestAxpyAVX2MatchesGeneric(t *testing.T) {
 	if !useAVX2 {

@@ -9,6 +9,9 @@ const useAVX2 = false
 // only previous-round values. lo must be ≥ 1 and hi < len(d) when lo ≤ hi.
 func sweepDown(d []float64, lo, hi int, q, p float64) { sweepDownGeneric(d, lo, hi, q, p) }
 
+// dpTail is the tail DP Scratch.Tail runs.
+func dpTail(dist, probs []float64, k int) float64 { return tailDP(dist, probs, k) }
+
 // axpy sets dst[j] += a·src[j] for every j < len(dst).
 func axpy(dst, src []float64, a float64) { axpyGeneric(dst, src, a) }
 
