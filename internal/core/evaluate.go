@@ -571,32 +571,46 @@ func (m *miner) pairwiseBounds(sys *dnf.System, probs []float64, slack float64) 
 }
 
 // probsOf collects the existence probabilities of the tids in b into a
-// buffer owned by the miner. Every caller consumes the slice (via a
-// Poisson-binomial computation, which never retains it) before calling
-// probsOf again, so one buffer per miner suffices.
-func (m *miner) probsOf(b *bitset.Bitset) []float64 {
-	m.probsBuf = m.probsBuf[:0]
-	// Gather over the dense words directly: this runs once per tail
-	// evaluation and per clause build, and the per-bit closure call of
-	// ForEach is measurable there.
-	if words := b.DenseWords(); words != nil {
-		buf := m.probsBuf
-		probs := m.probs
-		for wi, w := range words {
-			base := wi * 64
-			for w != 0 {
-				buf = append(buf, probs[base+bits.TrailingZeros64(w)])
-				w &= w - 1
-			}
-		}
-		m.probsBuf = buf
-		return buf
+// buffer owned by the miner, and sums their mean on the way, in the order
+// poibin.Mean would, so the Chernoff–Hoeffding bound needs no second pass.
+// Every caller consumes the slice (via a Poisson-binomial computation,
+// which never retains it) before calling probsOf again, so one buffer per
+// miner suffices.
+func (m *miner) probsOf(b *bitset.Bitset) (probs []float64, mean float64) {
+	words := b.DenseWords()
+	if words == nil {
+		return m.probsOfIDs(b)
 	}
+	// Gather over the dense words directly: this runs once per tail
+	// evaluation, and the per-bit closure call of ForEach is measurable
+	// there.
+	buf, all := m.probsBuf[:0], m.probs
+	for wi, w := range words {
+		base := wi * 64
+		for w != 0 {
+			p := all[base+bits.TrailingZeros64(w)]
+			buf = append(buf, p)
+			mean += p
+			w &= w - 1
+		}
+	}
+	m.probsBuf = buf
+	return buf, mean
+}
+
+// probsOfIDs is probsOf for a compressed tidset. It is a function of its
+// own so that its closure's captured variables stay out of the dense
+// loop's registers.
+func (m *miner) probsOfIDs(b *bitset.Bitset) (probs []float64, mean float64) {
+	buf := m.probsBuf[:0]
 	b.ForEach(func(tid int) bool {
-		m.probsBuf = append(m.probsBuf, m.probs[tid])
+		p := m.probs[tid]
+		buf = append(buf, p)
+		mean += p
 		return true
 	})
-	return m.probsBuf
+	m.probsBuf = buf
+	return buf, mean
 }
 
 func clamp01(v float64) float64 {

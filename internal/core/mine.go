@@ -46,6 +46,7 @@ type miner struct {
 	// safe because tidsets are never mutated once built and every probsOf
 	// result is consumed before the next call.
 	probsBuf []float64
+	batch    tailBatch // the delegated fan-out under construction (shard.go)
 	pool     *bitset.Pool
 	extBufs  []nodeScratch
 	pathBufs []itemset.Itemset
@@ -161,7 +162,7 @@ func (m *miner) tailCompute(b *bitset.Bitset, probs []float64, x itemset.Itemset
 		return m.shardTail(b, probs, x, e)
 	}
 	if probs == nil {
-		probs = m.probsOf(b)
+		probs, _ = m.probsOf(b)
 	}
 	return m.tail.Tail(probs, m.opts.MinSup)
 }
@@ -502,8 +503,9 @@ func (m *miner) boundedTail(b *bitset.Bitset, x itemset.Itemset, e itemset.Item,
 	if plan != nil {
 		pruned = plan.pruned
 	} else {
-		probs = m.probsOf(b)
-		pruned = m.chPrunes(probs)
+		var mean float64
+		probs, mean = m.probsOf(b)
+		pruned = m.chPrunes(mean, len(probs))
 	}
 	if pruned {
 		m.stats.CHPruned++
@@ -517,10 +519,11 @@ func (m *miner) boundedTail(b *bitset.Bitset, x itemset.Itemset, e itemset.Item,
 	return m.tailOf(b, probs, x, e), false
 }
 
-// chPrunes is the Chernoff-Hoeffding rule (Lemma 4.1): the bound over the
-// target's tuple probabilities shows Pr_F ≤ pfct.
-func (m *miner) chPrunes(probs []float64) bool {
-	return !m.opts.DisableCH && poibin.TailUpperBound(probs, m.opts.MinSup) <= m.opts.PFCT
+// chPrunes is the Chernoff-Hoeffding rule (Lemma 4.1): the bound from the
+// mean and count of the target's tuple probabilities (probsOf) shows
+// Pr_F ≤ pfct.
+func (m *miner) chPrunes(mean float64, n int) bool {
+	return !m.opts.DisableCH && poibin.TailUpperBoundMean(mean, n, m.opts.MinSup) <= m.opts.PFCT
 }
 
 // trace logs one enumeration event when tracing is enabled.
@@ -641,15 +644,12 @@ func (m *miner) probFCNode(x itemset.Itemset, tids *bitset.Bitset, count int, pr
 			bitset.AndBatch(dsts[batched:hi], counts[batched:hi], tids, srcs[batched:hi])
 			if plans != nil {
 				// One fan-out for every tail this chunk may evaluate.
-				var qs []shard.Query
-				var at []int
 				for j := batched; j < hi; j++ {
-					if counts[j] >= m.opts.MinSup && m.planTail(&plans[j], dsts[j]) {
-						qs = append(qs, shard.Query{Items: x, Ext: m.cands[startPos+j].item})
-						at = append(at, j)
+					if counts[j] >= m.opts.MinSup {
+						m.planTail(plans, j, dsts[j], shard.Query{Items: x, Ext: m.cands[startPos+j].item})
 					}
 				}
-				m.fetchTails(kern, qs, at, plans)
+				m.fetchTails(kern, plans)
 			}
 			batched = hi
 		}

@@ -58,66 +58,92 @@ func (m *miner) kernel() ShardKernel {
 // per shard, so each AndBatch chunk of siblings, and the candidate items in
 // runs of batchChunk queries, fetch in one fan-out every tail their consume
 // loop may evaluate: count ≥ MinSup, not pruned by the Chernoff–Hoeffding
-// bound, not in the memo. planTail records that decision per target, and
-// the consume loop reads it (boundedTail), in serial order and checking the
-// memo first (tailFetched), so itemsets and Stats are byte-identical to
-// asking for one tail at a time. Fetched tails the loop never consumes —
-// past a Lemma 4.3 break, or served by the memo after an earlier sibling or
-// subtree inserted the same tidset — are the session's fetched tails minus
+// bound, not in the memo, and no tidset already queued in the same fan-out.
+// planTail records that decision per target, and the consume loop reads it
+// (boundedTail), in serial order and checking the memo first (tailFetched),
+// so itemsets and Stats are byte-identical to asking for one tail at a
+// time. A target whose tidset equals an earlier one of its fan-out is left
+// unfetched: the earlier target is consumed first and inserts the tail, so
+// the memo serves the later one (once the memo is full, tailOf folds it on
+// its own, to the same value and Stats). Fetched tails the loop never consumes —
+// past a Lemma 4.3 break, or served by the memo after an earlier subtree
+// inserted the same tidset — are the session's fetched tails minus
 // Stats.TailEvaluations.
 
 // tailPlan is the fetch-time decision for one target of a delegated run:
 // pruned when the Chernoff–Hoeffding bound rules it out; otherwise parts
 // holds its fetched per-shard PMFs, nil when the memo already held the
-// tail or the kernel declined the fan-out.
+// tail, an earlier target of the fan-out has the same tidset, or the
+// kernel declined the fan-out.
 type tailPlan struct {
 	pruned bool
 	parts  [][]float64
 }
 
-// planTail records in p the decision for the target with tidset b, whose
-// count is at least MinSup, and reports whether its PMFs must be fetched:
-// the bound passes and the memo misses.
-func (m *miner) planTail(p *tailPlan, b *bitset.Bitset) bool {
-	*p = tailPlan{pruned: m.chPrunes(m.probsOf(b))}
-	if p.pruned {
-		return false
-	}
-	_, _, hit := m.memoGet(b)
-	return !hit
+// tailBatch is the fan-out under construction: its queries, the plan index
+// each one fills, and each query's tidset and hash. The miner reuses it
+// for every fan-out; the kernel does not retain the queries.
+type tailBatch struct {
+	qs   []shard.Query
+	at   []int
+	tids []*bitset.Bitset
+	hash []uint64
 }
 
-// fetchTails sends qs to the kernel as one fan-out and stores query n's
-// per-shard PMFs in plans[at[n]]. A declined call stores nothing: the
-// consume loop then evaluates those tails one at a time.
-func (m *miner) fetchTails(kern ShardKernel, qs []shard.Query, at []int, plans []tailPlan) {
-	if len(qs) == 0 {
+// planTail records in plans[j] the decision for the target q with tidset
+// b, whose count is at least MinSup, and queues q in m.batch when its PMFs
+// must be fetched: the bound passes, the memo misses and no queued query
+// has the same tidset.
+func (m *miner) planTail(plans []tailPlan, j int, b *bitset.Bitset, q shard.Query) {
+	probs, mean := m.probsOf(b)
+	plans[j] = tailPlan{pruned: m.chPrunes(mean, len(probs))}
+	if plans[j].pruned {
 		return
 	}
-	parts, ok := kern.TailPMFs(qs, m.opts.MinSup)
-	if !ok {
+	_, h, hit := m.memoGet(b)
+	if hit {
 		return
 	}
-	for n, j := range at {
-		plans[j].parts = parts[n]
+	tb := &m.batch
+	for n, qh := range tb.hash {
+		if qh == h && bitset.Equal(tb.tids[n], b) {
+			return
+		}
 	}
+	tb.qs = append(tb.qs, q)
+	tb.at = append(tb.at, j)
+	tb.tids = append(tb.tids, b)
+	tb.hash = append(tb.hash, h)
+}
+
+// fetchTails sends the queued queries to the kernel as one fan-out, stores
+// query n's per-shard PMFs in plans[at[n]] and empties the batch. A
+// declined call stores nothing: the consume loop then evaluates those
+// tails one at a time.
+func (m *miner) fetchTails(kern ShardKernel, plans []tailPlan) {
+	tb := &m.batch
+	if len(tb.qs) > 0 {
+		if parts, ok := kern.TailPMFs(tb.qs, m.opts.MinSup); ok {
+			for n, j := range tb.at {
+				plans[j].parts = parts[n]
+			}
+		}
+	}
+	tb.qs, tb.at, tb.tids, tb.hash = tb.qs[:0], tb.at[:0], tb.tids[:0], tb.hash[:0]
 }
 
 // planCandidates plans the items from allItems[from] on and fetches, in one
 // fan-out, the tails of the first batchChunk of them that need one. It
 // returns the index past the last item it planned.
 func (m *miner) planCandidates(kern ShardKernel, plans []tailPlan, from int) int {
-	var qs []shard.Query
-	var at []int
 	j := from
-	for ; j < len(m.allItems) && len(qs) < batchChunk; j++ {
+	for ; j < len(m.allItems) && len(m.batch.qs) < batchChunk; j++ {
 		e := m.allItems[j]
-		if tids := m.itemTids[e]; tids.Count() >= m.opts.MinSup && m.planTail(&plans[j], tids) {
-			qs = append(qs, shard.Query{Ext: e})
-			at = append(at, j)
+		if tids := m.itemTids[e]; tids.Count() >= m.opts.MinSup {
+			m.planTail(plans, j, tids, shard.Query{Ext: e})
 		}
 	}
-	m.fetchTails(kern, qs, at, plans)
+	m.fetchTails(kern, plans)
 	return j
 }
 
@@ -142,7 +168,7 @@ func (m *miner) tailFetched(b *bitset.Bitset, parts [][]float64) float64 {
 // probs, when non-nil, must be probsOf(b).
 func (m *miner) shardTailLocal(b *bitset.Bitset, probs []float64) float64 {
 	if probs == nil {
-		probs = m.probsOf(b)
+		probs, _ = m.probsOf(b)
 	}
 	l := m.shardLayout()
 	n := l.N

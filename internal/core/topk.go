@@ -91,10 +91,10 @@ func MineTopKContext(ctx context.Context, db *uncertain.DB, minSup, k int, opts 
 				continue
 			}
 			recX := extension{item: c.item, tids: buf, cnt: cc}
-			childProbs := m.probsOf(buf)
+			childProbs, mean := m.probsOf(buf)
 			// Anything that cannot beat the current k-th best is out:
 			// Pr_FC ≤ Pr_F, and the threshold only rises.
-			if poibin.TailUpperBound(childProbs, m.opts.MinSup) <= threshold() {
+			if poibin.TailUpperBoundMean(mean, len(childProbs), m.opts.MinSup) <= threshold() {
 				m.stats.CHPruned++
 				exts = append(exts, recX)
 				continue

@@ -237,9 +237,12 @@ func TestScratchConvAllocSteadyState(t *testing.T) {
 	}
 }
 
-// refConvMerge is the textbook absorbing-truncated convolution: every
-// product a[i]·b[j], i ascending then j ascending, added into cell
-// min(i+j, top). It is the reference the row-split convMerge must match.
+// refConvMerge is the merge's definition written out cell by cell, the
+// reference the row-split convMerge must match. Below the top cell it is
+// the textbook convolution: every product a[i]·b[j] with i+j < top, i
+// ascending then j ascending, added into cell i+j. The top cell absorbs
+// Σ_i a[i]·suf(top−i) in i order, where suf(j) sums b[j:] from the high
+// end: O(k) dependent adds per merge, not one per absorbed product.
 func refConvMerge(out, a, b []float64) {
 	for i := range out {
 		out[i] = 0
@@ -247,7 +250,21 @@ func refConvMerge(out, a, b []float64) {
 	top := len(out) - 1
 	for i := range a {
 		for j := range b {
-			out[min(i+j, top)] += float64(a[i] * b[j])
+			if i+j < top {
+				out[i+j] += float64(a[i] * b[j])
+			}
+		}
+	}
+	suf := func(j int) float64 {
+		t := 0.0
+		for jj := len(b) - 1; jj >= j; jj-- {
+			t += b[jj]
+		}
+		return t
+	}
+	for i := range a {
+		if top-i < len(b) {
+			out[top] += float64(a[i] * suf(max(top-i, 0)))
 		}
 	}
 	if out[top] > 1 {
@@ -255,8 +272,8 @@ func refConvMerge(out, a, b []float64) {
 	}
 }
 
-// TestConvMergeMatchesTextbook: convMerge's per-row axpy plus in-order
-// absorption must reproduce the textbook convolution bit for bit, for
+// TestConvMergeMatchesTextbook: convMerge's per-row axpy plus suffix-sum
+// absorption must reproduce the reference merge bit for bit, for
 // truncated and untruncated outputs, rows with zero coefficients,
 // single-cell operands, and on every cell at or above a floor.
 func TestConvMergeMatchesTextbook(t *testing.T) {

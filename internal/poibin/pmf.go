@@ -40,10 +40,11 @@ func (s *Scratch) PMFTrunc(probs []float64, k int) []float64 {
 
 // ConvolvePMF convolves two truncated PMFs into a fresh freelist vector of
 // length min(la+lb, k)+1 (indices counted from zero), lumping mass at or
-// above k into index k when reachable. It is the same i-ascending,
-// j-ascending merge the convolution-tree kernel uses, so folding per-shard
-// PMFTrunc vectors left-to-right is deterministic. The inputs are read-only
-// and remain owned by the caller.
+// above k into index k when reachable. It is the merge the
+// convolution-tree kernel uses (convMerge: one product per row below the
+// top cell, suffix tails of b into it), so folding per-shard PMFTrunc
+// vectors left-to-right is deterministic. The inputs are read-only and
+// remain owned by the caller.
 //
 // Cells below floor are left zero and not computed: a fold that only reads
 // cell k of its last merge passes k minus the most successes the parts
@@ -57,7 +58,7 @@ func (s *Scratch) ConvolvePMF(a, b []float64, k, floor int) []float64 {
 		lo = k
 	}
 	out := s.getBuf(lo + 1)[:lo+1]
-	convMerge(out, a, b, floor)
+	convMerge(out, a, b, s.sufBuf(len(b)), floor)
 	return out
 }
 

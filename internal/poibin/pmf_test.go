@@ -2,6 +2,7 @@ package poibin
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -126,4 +127,76 @@ func TestConvolvePMFIdentity(t *testing.T) {
 	s.ReleasePMF(v)
 	s.ReleasePMF(one)
 	s.ReleasePMF(m)
+}
+
+// bigPMFTrunc is PMFTrunc's vector for the whole of probs, by the
+// absorbing-truncated DP in 256-bit arithmetic with q = 1 − p exact: a
+// reference whose own rounding is far below the float64 kernels'.
+func bigPMFTrunc(probs []float64, k int) []float64 {
+	const prec = 256
+	L := min(len(probs), k)
+	dist := make([]*big.Float, L+1)
+	for i := range dist {
+		dist[i] = new(big.Float).SetPrec(prec)
+	}
+	dist[0].SetInt64(1)
+	one := new(big.Float).SetPrec(prec).SetInt64(1)
+	p, q, t := new(big.Float).SetPrec(prec), new(big.Float).SetPrec(prec), new(big.Float).SetPrec(prec)
+	for n, pf := range probs {
+		p.SetFloat64(pf)
+		q.Sub(one, p)
+		hi := min(n+1, L)
+		top := hi
+		if hi == k {
+			dist[k].Add(dist[k], t.Mul(dist[k-1], p))
+			top = k - 1
+		}
+		for c := top; c >= 1; c-- {
+			dist[c].Mul(dist[c], q)
+			dist[c].Add(dist[c], t.Mul(dist[c-1], p))
+		}
+		dist[0].Mul(dist[0], q)
+	}
+	out := make([]float64, L+1)
+	for i, d := range dist {
+		out[i], _ = d.Float64()
+	}
+	return out
+}
+
+// TestConvolvePMFMatchesBigFloat: every cell of a two-part ConvolvePMF —
+// the cells below the top by their axpy rows, the absorbing cell by its
+// suffix tails — and the convolution tree's tail over several leaves stay
+// within 1e-14 of the exact values.
+func TestConvolvePMFMatchesBigFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	var s Scratch
+	for trial := 0; trial < 60; trial++ {
+		k := 1 + rng.Intn(150)
+		probs := randProbs(rng, rng.Intn(4*k+2), true)
+		cut := rng.Intn(len(probs) + 1)
+		a, b := s.PMFTrunc(probs[:cut], k), s.PMFTrunc(probs[cut:], k)
+		got := s.ConvolvePMF(a, b, k, 0)
+		want := bigPMFTrunc(probs, k)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: merged %d cells, exact %d", trial, len(got), len(want))
+		}
+		for c := range want {
+			if d := math.Abs(got[c] - want[c]); d > 1e-14 {
+				t.Fatalf("trial %d k=%d n=%d cut=%d cell %d: merged %v, exact %v (diff %g)",
+					trial, k, len(probs), cut, c, got[c], want[c], d)
+			}
+		}
+		s.ReleasePMF(a)
+		s.ReleasePMF(b)
+		s.ReleasePMF(got)
+	}
+	for _, k := range []int{1, 40, 300, 700} {
+		probs := randProbs(rng, 3*convLeafN+77, true)
+		got := s.TailKernel(probs, k, KernelConv)
+		want := bigPMFTrunc(probs, k)[k]
+		if d := math.Abs(got - want); d > 1e-14 {
+			t.Fatalf("tree n=%d k=%d: %v, exact %v (diff %g)", len(probs), k, got, want, d)
+		}
+	}
 }

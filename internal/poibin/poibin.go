@@ -74,14 +74,16 @@ func PMF(probs []float64) []float64 {
 // HoeffdingUpper returns the Hoeffding upper bound on Pr[S ≥ k]:
 // exp(−2 t² / n) with t = k − μ, valid whenever k > μ; otherwise 1.
 func HoeffdingUpper(probs []float64, k int) float64 {
-	n := len(probs)
+	return hoeffdingUpper(Mean(probs), len(probs), k)
+}
+
+func hoeffdingUpper(mu float64, n, k int) float64 {
 	if n == 0 {
 		if k <= 0 {
 			return 1
 		}
 		return 0
 	}
-	mu := Mean(probs)
 	t := float64(k) - mu
 	if t <= 0 {
 		return 1
@@ -94,7 +96,10 @@ func HoeffdingUpper(probs []float64, k int) float64 {
 // otherwise 1. This is the Chernoff-Hoeffding-style bound Lemma 4.1 prunes
 // with.
 func ChernoffUpper(probs []float64, k int) float64 {
-	mu := Mean(probs)
+	return chernoffUpper(Mean(probs), k)
+}
+
+func chernoffUpper(mu float64, k int) float64 {
 	if mu <= 0 {
 		if k <= 0 {
 			return 1
@@ -112,15 +117,17 @@ func ChernoffUpper(probs []float64, k int) float64 {
 // bounds on Pr[S ≥ k]. It is always ≥ Tail(probs, k), so pruning an itemset
 // whenever TailUpperBound ≤ pfct is sound.
 func TailUpperBound(probs []float64, k int) float64 {
-	if k > len(probs) {
+	return TailUpperBoundMean(Mean(probs), len(probs), k)
+}
+
+// TailUpperBoundMean is TailUpperBound from the vector's mean mu and
+// length n: callers that already summed Mean(probs) while gathering the
+// vector pass it here, bit-identically, instead of summing it again.
+func TailUpperBoundMean(mu float64, n, k int) float64 {
+	if k > n {
 		return 0
 	}
-	h := HoeffdingUpper(probs, k)
-	c := ChernoffUpper(probs, k)
-	if c < h {
-		return c
-	}
-	return h
+	return min(hoeffdingUpper(mu, n, k), chernoffUpper(mu, k))
 }
 
 // TailLowerBound returns an analytic lower bound on Pr[S ≥ k]: by Hoeffding

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/probdata/pfcim/internal/core"
+	"github.com/probdata/pfcim/internal/poibin"
 )
 
 // resultCache is an LRU map from (dataset id, canonical options key) to a
@@ -34,10 +35,20 @@ type cacheEntry struct {
 	res *encoded[core.ResultJSON]
 }
 
-// cacheKey joins the two key halves. The canonical options key contains no
-// newline, so the separator is unambiguous.
-func cacheKey(datasetID, optionsKey string) string {
-	return datasetID + "\n" + optionsKey
+// cacheKey is the result-cache and store key of every mine the daemon
+// runs — jobs, sweep points and watched jobs: the dataset id and the
+// canonical options key, joined by a newline (the options key contains
+// none, so the separator is unambiguous). Mines whose tails go through the
+// truncated convolution — shards ≥ 2, or a dataset with at least
+// poibin.ConvCrossoverN rows — append the token " conv=2", the revision of
+// the merge's absorbing cell (DESIGN §9.3, §13): results stored before it
+// differ in their low bits, so they must miss.
+func cacheKey(ds *Dataset, shards int, optionsKey string) string {
+	key := ds.ID + "\n" + optionsKey
+	if shards >= 2 || ds.DB().N() >= poibin.ConvCrossoverN {
+		key += " conv=2"
+	}
+	return key
 }
 
 func newResultCache(max int) *resultCache {

@@ -288,7 +288,7 @@ func (m *Manager) submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout t
 		options:   oj,
 		opts:      opts,
 		optKey:    optKey,
-		cacheKey:  cacheKey(ds.ID, optKey),
+		cacheKey:  cacheKey(ds, opts.Shards, optKey),
 		timeout:   timeout,
 		submitted: time.Now(),
 	}

@@ -114,11 +114,11 @@ func TestDistributedMineMatchesInline(t *testing.T) {
 	if m["shard_tail_evaluations"] == 0 {
 		t.Error("distributed mine should record worker-side tail evaluations")
 	}
-	// The candidate fan-out fetches the tails of a, b, c and d; a, b and c
-	// share one tidset, so the memo serves two of them and the miner
-	// evaluates two tails: two fetched tails went unused.
-	if got := m["shard_tails_wasted"]; got != 2 || done.Result.Stats.TailEvaluations != 2 {
-		t.Errorf("shard_tails_wasted = %d with %d tail evaluations, want 2 and 2",
+	// a, b and c share one tidset, so the candidate fan-out fetches the
+	// tails of a and d only; the memo serves b and c, the miner evaluates
+	// two tails, and no fetched tail goes unused.
+	if got := m["shard_tails_wasted"]; got != 0 || done.Result.Stats.TailEvaluations != 2 {
+		t.Errorf("shard_tails_wasted = %d with %d tail evaluations, want 0 and 2",
 			got, done.Result.Stats.TailEvaluations)
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"github.com/probdata/pfcim/internal/core"
+	"github.com/probdata/pfcim/internal/itemset"
+	"github.com/probdata/pfcim/internal/poibin"
 	"github.com/probdata/pfcim/internal/sweep"
 	"github.com/probdata/pfcim/internal/uncertain"
 )
@@ -272,5 +274,114 @@ func TestRestoreStoreV1(t *testing.T) {
 	fresh := submitAndWait(t, tsFresh.URL, ds.ID, 2)
 	if got, want := mustJSON(t, restored.Result), mustJSON(t, fresh.Result); !bytes.Equal(got, want) {
 		t.Fatalf("v1 stored result differs from a fresh mine\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestCacheKeyConvToken: a mine whose tails go through the truncated
+// convolution — Shards ≥ 2, or a dataset of at least poibin.ConvCrossoverN
+// rows — is cached and stored under a key carrying the conv=2 token, so
+// results written before the merge's absorbing-cell revision miss. Every
+// other job, sweep point and watched job keeps the key it had before the
+// token: the dataset id, a newline and the canonical options key.
+func TestCacheKeyConvToken(t *testing.T) {
+	s, _ := testServer(t, Config{Workers: 1})
+	reg := s.Registry()
+	small, _, err := reg.Register(uncertain.PaperExample(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]uncertain.Transaction, poibin.ConvCrossoverN)
+	for i := range rows {
+		rows[i] = uncertain.Transaction{Items: itemset.FromInts(i % 2), Prob: 0.5}
+	}
+	big, _, err := reg.Register(uncertain.MustNewDB(rows), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.Jobs()
+	jobKey := func(ds *Dataset, ref string, oj core.OptionsJSON) string {
+		t.Helper()
+		info, err := m.Submit(ds, ref, oj, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.jobs[info.ID].cacheKey
+	}
+	sweepKeys := func(ds *Dataset, oj core.OptionsJSON) []string {
+		t.Helper()
+		info, err := m.SubmitSweep(ds, oj, []sweep.PointJSON{{PFCT: 0.6}, {PFCT: 0.9}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		var keys []string
+		for _, sl := range m.jobs[info.ID].slots {
+			keys = append(keys, sl.key)
+		}
+		return keys
+	}
+	canon := func(oj core.OptionsJSON) string {
+		t.Helper()
+		opts, err := oj.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := opts.CanonicalKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+
+	// Untokened: the paper's example, unsharded or at one shard, as a job,
+	// a watched job and sweep points. The first literal is the key
+	// testdata/store-v1 was written under.
+	plain := core.OptionsJSON{MinSup: 2, PFCT: 0.5}
+	want := "12c3b7011c4987f3\nminsup=2 pfct=0.5 eps=0.1 delta=0.1 seed=0 noch=false nosuper=false nosub=false nobound=false search=DFS maxexact=6 shards=0"
+	if got := jobKey(small, small.ID, plain); got != want {
+		t.Fatalf("unsharded key changed:\n got %q\nwant %q", got, want)
+	}
+	one := core.OptionsJSON{MinSup: 2, PFCT: 0.5, Shards: 1}
+	if got := jobKey(small, small.ID, one); got != want {
+		t.Fatalf("one-shard key changed:\n got %q\nwant %q", got, want)
+	}
+	if got := jobKey(small, small.ID+"@latest", plain); got != want {
+		t.Fatalf("watched key changed:\n got %q\nwant %q", got, want)
+	}
+	for i, got := range sweepKeys(small, plain) {
+		pfct := []float64{0.6, 0.9}[i]
+		if want := small.ID + "\n" + canon(core.OptionsJSON{MinSup: 2, PFCT: pfct}); got != want {
+			t.Fatalf("sweep point key changed:\n got %q\nwant %q", got, want)
+		}
+	}
+
+	// Tokened: Shards ≥ 2 on any dataset, and any mine of the big one.
+	sharded := core.OptionsJSON{MinSup: 2, PFCT: 0.5, Shards: 2}
+	for _, tc := range []struct {
+		name string
+		ds   *Dataset
+		oj   core.OptionsJSON
+	}{
+		{"sharded", small, sharded},
+		{"large", big, core.OptionsJSON{MinSup: 3000, PFCT: 0.5}},
+	} {
+		untokened := tc.ds.ID + "\n" + canon(tc.oj)
+		want := untokened + " conv=2"
+		if got := jobKey(tc.ds, tc.ds.ID, tc.oj); got != want {
+			t.Fatalf("%s job key:\n got %q\nwant %q", tc.name, got, want)
+		}
+		if tc.oj.Shards == 0 {
+			if got := jobKey(tc.ds, tc.ds.ID+"@latest", tc.oj); got != want {
+				t.Fatalf("%s watched key:\n got %q\nwant %q", tc.name, got, want)
+			}
+		}
+		for _, got := range sweepKeys(tc.ds, tc.oj) {
+			if !strings.HasSuffix(got, " conv=2") {
+				t.Fatalf("%s sweep point key %q has no conv=2 token", tc.name, got)
+			}
+		}
 	}
 }

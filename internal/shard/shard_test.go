@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/big"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -222,6 +223,72 @@ func TestTailPartsMatchesFullFold(t *testing.T) {
 	if below == 0 || at == 0 || above == 0 {
 		t.Fatalf("corpus covered Σ(len−1) below k %d, at k %d, above k %d times; want all > 0", below, at, above)
 	}
+}
+
+// bigTail is Pr[S ≥ k] of Σ Bernoulli(probs) by the absorbing-truncated DP
+// in 256-bit arithmetic, with q = 1 − p exact: a reference whose own
+// rounding is far below the float64 kernels'.
+func bigTail(probs []float64, k int) float64 {
+	const prec = 256
+	dist := make([]*big.Float, k+1)
+	for i := range dist {
+		dist[i] = new(big.Float).SetPrec(prec)
+	}
+	dist[0].SetInt64(1)
+	one := new(big.Float).SetPrec(prec).SetInt64(1)
+	p, q, t := new(big.Float).SetPrec(prec), new(big.Float).SetPrec(prec), new(big.Float).SetPrec(prec)
+	for _, pf := range probs {
+		p.SetFloat64(pf)
+		q.Sub(one, p)
+		dist[k].Add(dist[k], t.Mul(dist[k-1], p))
+		for c := k - 1; c >= 1; c-- {
+			dist[c].Mul(dist[c], q)
+			dist[c].Add(dist[c], t.Mul(dist[c-1], p))
+		}
+		dist[0].Mul(dist[0], q)
+	}
+	f, _ := dist[k].Float64()
+	return f
+}
+
+// TestTailPartsMatchesBigFloat: the sharded fold — per-shard PMFTrunc
+// vectors merged by ConvolvePMF, whose absorbing cell sums suffix tails —
+// stays within 1e-14 of the exact tail, over 2–4 shards, thresholds up to
+// 200 and summed part lengths from k to 6k.
+func TestTailPartsMatchesBigFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var s poibin.Scratch
+	worst := 0.0
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(3)
+		k := 1 + rng.Intn(200)
+		total := k + rng.Intn(5*k+1)
+		probs := make([]float64, total)
+		for i := range probs {
+			if rng.Intn(10) == 0 {
+				probs[i] = 1
+			} else {
+				probs[i] = rng.Float64()
+			}
+		}
+		l := Layout{N: n, Total: total}
+		parts := make([][]float64, n)
+		for i := range parts {
+			lo, hi := l.Bounds(i)
+			parts[i] = s.PMFTrunc(probs[lo:hi], k)
+		}
+		got := TailParts(&s, parts, k)
+		for _, p := range parts {
+			s.ReleasePMF(p)
+		}
+		want := bigTail(probs, k)
+		if d := math.Abs(got - want); d > 1e-14 {
+			t.Fatalf("trial %d n=%d k=%d total=%d: TailParts %v, exact %v (diff %g)", trial, n, k, total, got, want, d)
+		} else if d > worst {
+			worst = d
+		}
+	}
+	t.Logf("worst |TailParts − exact| = %g", worst)
 }
 
 // TestWorkerClientRoundTrip places a dataset on two httptest workers and
