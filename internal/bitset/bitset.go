@@ -17,6 +17,7 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -107,6 +108,31 @@ func (b *Bitset) Count() int {
 	}
 	c := 0
 	for _, w := range b.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// CountRange returns the number of set bits in [lo, hi), for
+// 0 ≤ lo ≤ hi ≤ Len(): a popcount over the words the range covers, its end
+// words masked, or two binary searches in the sparse form.
+func (b *Bitset) CountRange(lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	if b.sparse {
+		i, _ := slices.BinarySearch(b.ids, uint32(lo))
+		j, _ := slices.BinarySearch(b.ids, uint32(hi))
+		return j - i
+	}
+	wl, wh := lo/wordBits, (hi-1)/wordBits
+	first := b.words[wl] >> (lo % wordBits)
+	last := ^uint64(0) >> (wordBits - 1 - (hi-1)%wordBits) // bits up to hi−1
+	if wl == wh {
+		return bits.OnesCount64(first & (last >> (lo % wordBits)))
+	}
+	c := bits.OnesCount64(first) + bits.OnesCount64(b.words[wh]&last)
+	for _, w := range b.words[wl+1 : wh] {
 		c += bits.OnesCount64(w)
 	}
 	return c

@@ -285,3 +285,44 @@ func TestNewSparseValidation(t *testing.T) {
 		t.Fatalf("NewSparse contents wrong: %v", b)
 	}
 }
+
+// TestCountRangeMatchesForEach: CountRange must equal the number of
+// ForEach members in the range, on dense and compacted sets, for the
+// per-shard ranges of every layout of two to eight shards (whose
+// boundaries i·n/N mostly fall inside a word) and for random ranges,
+// empty and single-word ones included.
+func TestCountRangeMatchesForEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	forEachCount := func(b *Bitset, lo, hi int) int {
+		c := 0
+		b.ForEach(func(i int) bool {
+			if i >= lo && i < hi {
+				c++
+			}
+			return i < hi
+		})
+		return c
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(900)
+		d, s := randSet(rng, n, rng.Float64()*rng.Float64())
+		var ranges [][2]int
+		for shards := 2; shards <= 8; shards++ {
+			for i := 0; i < shards; i++ {
+				ranges = append(ranges, [2]int{i * n / shards, (i + 1) * n / shards})
+			}
+		}
+		for r := 0; r < 20; r++ {
+			lo := rng.Intn(n + 1)
+			ranges = append(ranges, [2]int{lo, lo + rng.Intn(min(n-lo, 70)+1)})
+		}
+		for _, r := range ranges {
+			want := forEachCount(d, r[0], r[1])
+			for _, b := range []*Bitset{d, s} {
+				if got := b.CountRange(r[0], r[1]); got != want {
+					t.Fatalf("n=%d sparse=%v [%d,%d): CountRange %d, ForEach %d", n, b.IsSparse(), r[0], r[1], got, want)
+				}
+			}
+		}
+	}
+}

@@ -57,11 +57,9 @@ type miner struct {
 	tail   poibin.Scratch
 	tailFn func(b *bitset.Bitset, probs []float64) float64
 
-	// Sharded-run scratch (Options.Shards ≥ 2, see shard.go): per-shard bit
-	// counts of the tidset under evaluation and the per-shard truncated PMF
-	// views of the fold.
-	shardCounts []int
-	shardParts  [][]float64
+	// Sharded-run scratch (Options.Shards ≥ 2, see shard.go): the per-shard
+	// truncated PMF views of the fold.
+	shardParts [][]float64
 
 	// Checking-cascade scratch (see evaluate.go): the profile of the node
 	// under evaluation, its clause records, the sorter view over them, the

@@ -164,36 +164,23 @@ func (m *miner) tailFetched(b *bitset.Bitset, parts [][]float64) float64 {
 
 // shardTailLocal splits b's gathered probability vector at the layout
 // boundaries — the gathered vector is ascending in tid, so each shard's
-// tuples form one contiguous run — and folds the per-range truncated PMFs.
-// probs, when non-nil, must be probsOf(b).
+// tuples form one contiguous run, as long as b's count in the shard's tid
+// range — and folds the per-range truncated PMFs. probs, when non-nil,
+// must be probsOf(b).
 func (m *miner) shardTailLocal(b *bitset.Bitset, probs []float64) float64 {
 	if probs == nil {
 		probs, _ = m.probsOf(b)
 	}
 	l := m.shardLayout()
-	n := l.N
-	if cap(m.shardCounts) < n {
-		m.shardCounts = make([]int, n)
-		m.shardParts = make([][]float64, n)
+	if cap(m.shardParts) < l.N {
+		m.shardParts = make([][]float64, l.N)
 	}
-	counts := m.shardCounts[:n]
-	for i := range counts {
-		counts[i] = 0
-	}
-	s, hi := 0, l.End(0)
-	b.ForEach(func(tid int) bool {
-		for tid >= hi {
-			s++
-			hi = l.End(s)
-		}
-		counts[s]++
-		return true
-	})
-	parts := m.shardParts[:n]
+	parts := m.shardParts[:l.N]
 	off := 0
-	for i := 0; i < n; i++ {
-		parts[i] = m.tail.PMFTrunc(probs[off:off+counts[i]], m.opts.MinSup)
-		off += counts[i]
+	for i := range parts {
+		c := b.CountRange(l.Bounds(i))
+		parts[i] = m.tail.PMFTrunc(probs[off:off+c], m.opts.MinSup)
+		off += c
 	}
 	t := shard.TailParts(&m.tail, parts, m.opts.MinSup)
 	for i := range parts {

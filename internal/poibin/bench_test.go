@@ -1,6 +1,7 @@
 package poibin
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -68,5 +69,59 @@ func BenchmarkCondSamplerDrawN500K150(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs.Covers(rng, masks, want, acc)
+	}
+}
+
+// gaussianProbs draws 64 vectors of n existence probabilities the way the
+// benchmark datasets assign them (gen.AssignGaussian): Gaussian(mean,
+// variance), clamped to [0.01, 1], so a share of the tuples is certain. A
+// benchmark cycles through the vectors: a mine never repeats one, and a
+// single vector run again and again lets the branch predictor learn where
+// its certain tuples are.
+func gaussianProbs(n int, mean, variance float64) [64][]float64 {
+	rng := rand.New(rand.NewSource(1))
+	var vs [64][]float64
+	for j := range vs {
+		vs[j] = make([]float64, n)
+		for i := range vs[j] {
+			vs[j][i] = min(max(rng.NormFloat64()*math.Sqrt(variance)+mean, 0.01), 1)
+		}
+	}
+	return vs
+}
+
+// The next three are the exact-tail shapes the perfbench mine classes
+// spend their DP time on: a Quest-like tail of the sparse class (about a
+// quarter of its tuples certain), a Mushroom-like tail of the dense and
+// sweep classes, and one shard's PMF of the sharded class (812 rows over
+// four shards), which is shorter than its threshold and so never absorbs.
+
+// tailSink keeps the benchmarked tails live.
+var tailSink float64
+
+func BenchmarkTailSparseN344K240(b *testing.B) {
+	vs := gaussianProbs(344, 0.8, 0.1)
+	var s Scratch
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tailSink = s.Tail(vs[i%len(vs)], 240)
+	}
+}
+
+func BenchmarkTailDenseN418K162(b *testing.B) {
+	vs := gaussianProbs(418, 0.5, 0.5)
+	var s Scratch
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tailSink = s.Tail(vs[i%len(vs)], 162)
+	}
+}
+
+func BenchmarkShardLeafPMFN104K162(b *testing.B) {
+	vs := gaussianProbs(104, 0.5, 0.5)
+	var s Scratch
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.ReleasePMF(s.PMFTrunc(vs[i%len(vs)], 162))
 	}
 }

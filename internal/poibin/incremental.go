@@ -7,9 +7,12 @@ import "math"
 // A sliding window adds and evicts one transaction at a time, and the
 // per-item tail Pr[S ≥ min_sup] it needs is exactly the absorbing bin of the
 // truncated PMF that PMFTrunc builds. Folding one success probability in is
-// the same O(k) DP step leafPMF runs per tuple — both call foldTuple — so
-// UpdatePMF below is bit-identical to re-running the DP with the tuple
-// appended (TestUpdatePMFMatchesPMFTrunc and FuzzTailKernels pin this).
+// the same O(k) DP step the portable leafPMFGeneric runs per tuple — both
+// call foldTuple — and the AVX2 leaf applies the same steps two tuples per
+// pass with the same rounded operations, so UpdatePMF below is
+// bit-identical to re-running the DP with the tuple appended
+// (TestUpdatePMFMatchesPMFTrunc, TestLeafPMFAVX2MatchesFoldTuple and
+// FuzzTailKernels pin this).
 // Removing one is polynomial deconvolution: the DP step is linear in the
 // old coefficients, so it inverts to a forward or backward O(k) recurrence
 // — but the inversion divides by q = 1-p (or by p), which amplifies

@@ -9,10 +9,13 @@ package poibin
 //     (all entries are non-negative finite floats), and the absorbing add
 //     dist[k] += dist[k−1]·1 performs the identical rounded addition, so the
 //     memmove produces bit-identical output to the generic loop. On amd64
-//     with AVX2, Scratch.Tail runs every round of it — shift, absorb, band
-//     sweep — in one assembly routine (dpTail → tailDPAVX2), which performs
-//     the same rounded operations; tailDP with the portable sweep is the
-//     reference and every other platform's path.
+//     with AVX2, Scratch.Tail runs every round of it — shifts, absorbs,
+//     bands — in one assembly routine (dpTail → tailDPAVX2), which pairs
+//     consecutive band rounds and applies both in one blocked pass down the
+//     band (sweep.go). Each cell keeps its rounded operations and their
+//     order, so the bits are the same; tailDP with the portable sweep is
+//     the reference and every other platform's path. The convolution-tree
+//     leaves (leafPMF) run the same pass, two tuples at a time.
 //
 //   - The divide-and-conquer convolution tree (tailConv): certain tuples
 //     (p = 1) shift the threshold down, impossible tuples (p = 0) drop out,
@@ -112,10 +115,25 @@ func (s *Scratch) TailKernel(probs []float64, k int, kern Kernel) float64 {
 	if kern == KernelConv && n > convLeafN {
 		return s.tailConv(probs, k)
 	}
-	if cap(s.dist) < k+1 {
-		s.dist = make([]float64, k+1)
+	return dpTail(s.dpBuf(k+1), probs, k)
+}
+
+// dpGuard is the number of zero cells dpBuf keeps below cell 0. The AVX2
+// routines read a band's lower neighbours from them and widen bands down
+// into them, so cell 0 needs no case of its own (sweep_amd64.s).
+const dpGuard = 8
+
+// dpBuf returns the DP vector of the given number of cells behind dpGuard
+// guard cells, zeroed but for cell 0 = 1.
+func (s *Scratch) dpBuf(cells int) []float64 {
+	n := dpGuard + cells
+	if cap(s.dist) < n {
+		s.dist = make([]float64, n)
 	}
-	return dpTail(s.dist[:k+1], probs, k)
+	buf := s.dist[:n]
+	clear(buf)
+	buf[dpGuard] = 1
+	return buf
 }
 
 // tailDP runs the absorbing-truncated DP in dist (len k+1, contents
@@ -247,7 +265,7 @@ func (s *Scratch) convTree(probs []float64, k int, root bool) []float64 {
 			L = k
 		}
 		v := s.getBuf(L + 1)[:L+1]
-		leafPMF(v, probs, k)
+		s.leafPMF(v, probs, k)
 		return v
 	}
 	mid := n / 2
@@ -354,10 +372,12 @@ func (s *Scratch) sufBuf(n int) []float64 {
 	return s.suf[:n]
 }
 
-// leafPMF fills v (length min(len(probs), k)+1) with the truncated PMF of
-// one block via the sequential DP. The top bin absorbs only when the block
-// reaches k; shorter blocks carry their exact full PMF.
-func leafPMF(v []float64, probs []float64, k int) {
+// leafPMFGeneric fills v (length min(len(probs), k)+1) with the truncated
+// PMF of one block via the sequential DP, one foldTuple per tuple. The top
+// bin absorbs only when the block reaches k; shorter blocks carry their
+// exact full PMF. It is the portable leafPMF and the reference for the
+// AVX2 one.
+func leafPMFGeneric(v []float64, probs []float64, k int) {
 	L := len(v) - 1
 	for i := range v {
 		v[i] = 0
@@ -375,7 +395,7 @@ func leafPMF(v []float64, probs []float64, k int) {
 
 // foldTuple folds one Bernoulli(p) tuple into the PMF cells v[:hi+1]. When
 // absorb is set, v[hi] is the ≥ k bucket: it keeps its mass and gains the
-// inflow from exactly hi−1 successes. leafPMF and UpdatePMF both step
+// inflow from exactly hi−1 successes. leafPMFGeneric and UpdatePMF both step
 // through here, which is what makes an incrementally grown PMF bit-identical
 // to a from-scratch PMFTrunc.
 func foldTuple(v []float64, hi int, p float64, absorb bool) {

@@ -34,7 +34,7 @@ func (s *Scratch) PMFTrunc(probs []float64, k int) []float64 {
 		L = k
 	}
 	v := s.getBuf(L + 1)[:L+1]
-	leafPMF(v, probs, k)
+	s.leafPMF(v, probs, k)
 	return v
 }
 

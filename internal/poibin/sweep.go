@@ -11,11 +11,21 @@ package poibin
 //   - axpy adds one scaled row of a truncated convolution below its
 //     absorbing cell: dst[j] += a·src[j].
 //
-// The tail DP does not pay a call per round: on amd64 with AVX2 one
-// routine, tailDPAVX2, runs all of a tail's rounds with sweepDownAVX2's
-// body inline, VEX-encoded scalar code between the blocks, and each band
-// widened downward to whole eight-cell blocks through cells below the DP's
-// floor, which no later round reads. Its bits equal tailDP's.
+// On amd64 with AVX2 the exact DPs do not sweep one round at a time.
+// tailDPAVX2 (every round of a tail) and leafPMFAVX2 (every tuple of a
+// PMFTrunc part) apply two consecutive band rounds in one blocked pass down
+// the band, pairPass: four-cell blocks, round 1 computed one block ahead
+// and kept in registers, round 2's lower-neighbour vector spliced from the
+// two round-1 blocks, only round 2 stored. Band rounds pair up in order;
+// a certain tuple between them is a shift, not a round, and absorbs round
+// 1's value of its cell. Every cell still gets round 1's two products and
+// add, then round 2's, so the bits equal tailDP's and the foldTuple
+// chain's; only independent cells change their time order. Both routines
+// keep eight zero guard cells below cell 0, which make cell 0 an ordinary
+// band cell and let bands widen downward to whole blocks. The tail routine
+// also finds each run of certain tuples with one vector compare over the
+// next four, and shifts past it at once while it cannot absorb, instead of
+// branching on p = 1 per tuple.
 //
 // The conditional sampler's table build (condsample.go) runs a third loop of
 // the same kind, bandCells: one column of the suffix-tail recurrence,

@@ -16,12 +16,19 @@ func hasAVX2() bool
 //go:noescape
 func sweepDownAVX2(d []float64, lo, hi int, q, p float64)
 
-// tailDPAVX2 runs every round of tailDP in one routine and returns the
-// absorbing bucket before the clamp. It trusts its caller for
-// 1 ≤ k ≤ len(probs), len(dist) = k+1 and dist zeroed but for dist[0] = 1.
+// tailDPAVX2 runs every round of tailDP in one routine, two band rounds
+// per pass, and returns the absorbing bucket before the clamp. It trusts
+// its caller for 1 ≤ k ≤ len(probs) and a buffer from dpBuf(k+1).
 //
 //go:noescape
-func tailDPAVX2(dist, probs []float64, k int) float64
+func tailDPAVX2(buf, probs []float64, k int) float64
+
+// leafPMFAVX2 is leafPMFGeneric's foldTuple chain, two tuples per pass, into
+// a buffer from dpBuf(L+1); cell L absorbs when L = k. It trusts its caller
+// for 1 ≤ L ≤ len(probs) and L ≤ k.
+//
+//go:noescape
+func leafPMFAVX2(buf, probs []float64, L, k int)
 
 // axpyAVX2 is axpy four and eight cells per iteration. It trusts its caller
 // for len(src) ≥ len(dst).
@@ -43,18 +50,29 @@ func sweepDown(d []float64, lo, hi int, q, p float64) {
 	sweepDownAVX2(d, lo, hi, q, p)
 }
 
-// dpTail is the tail DP Scratch.Tail runs: tailDP, with every round in one
-// assembly routine where the CPU has AVX2. Both give the same bits.
-func dpTail(dist, probs []float64, k int) float64 {
+// dpTail is the tail DP Scratch.Tail runs on a buffer from dpBuf(k+1):
+// tailDP, with every round in one assembly routine where the CPU has AVX2.
+// Both give the same bits.
+func dpTail(buf, probs []float64, k int) float64 {
 	if !useAVX2 {
-		return tailDP(dist, probs, k)
+		return tailDP(buf[dpGuard:], probs, k)
 	}
-	_ = dist[k] // the assembly does no bounds checks
-	for i := range dist {
-		dist[i] = 0
+	_ = buf[dpGuard+k] // the assembly does no bounds checks
+	return clampProb(tailDPAVX2(buf, probs, k))
+}
+
+// leafPMF fills v (length min(len(probs), k)+1) with the truncated PMF of
+// probs, as leafPMFGeneric does, with two tuples per pass where the CPU has
+// AVX2. Both give the same bits.
+func (s *Scratch) leafPMF(v, probs []float64, k int) {
+	if !useAVX2 || len(probs) == 0 {
+		leafPMFGeneric(v, probs, k)
+		return
 	}
-	dist[0] = 1
-	return clampProb(tailDPAVX2(dist, probs, k))
+	buf := s.dpBuf(len(v))
+	_ = probs[len(v)-2] // the assembly does no bounds checks
+	leafPMFAVX2(buf, probs, len(v)-1, k)
+	copy(v, buf[dpGuard:])
 }
 
 // axpy sets dst[j] += a·src[j] for every j < len(dst).

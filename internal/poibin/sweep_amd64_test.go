@@ -50,25 +50,104 @@ func TestSweepDownAVX2MatchesGeneric(t *testing.T) {
 	}
 }
 
+// The edge cases of tailDPAVX2's blocked pass, as pairEvents finds them.
+const (
+	evOddRounds        = iota // an odd number of band rounds: the last has no partner
+	evEvenRounds              // an even number of band rounds
+	evCertainInPair           // p = 1 tuples between the two rounds of a pair
+	evHiReachesKInPair        // hi first reaches k at a pair's round 2
+	evFloorPassesCell1        // cell 0 is in round 1's band, not in round 2's
+	numPairEvents
+)
+
+// pairEvents walks probs with tailDPAVX2's pairing rule — band rounds pair
+// up in order, certain tuples in between shift off, the walk ends once off
+// reaches k — and reports which of the edge cases above the tail meets.
+func pairEvents(probs []float64, k int) (ev [numPairEvents]bool) {
+	n := len(probs)
+	hi, off, rounds := 0, 0, 0
+	pending, certain := false, false
+	var hi1, floor1 int
+	for idx, p := range probs {
+		if hi < k {
+			hi++
+		}
+		lo := k - n + idx + 1
+		if p == 1 {
+			certain = certain || pending
+			if off++; off >= k {
+				break
+			}
+			continue
+		}
+		rounds++
+		if !pending {
+			pending, certain, hi1, floor1 = true, false, hi, lo-off
+			continue
+		}
+		pending = false
+		ev[evCertainInPair] = ev[evCertainInPair] || certain
+		ev[evHiReachesKInPair] = ev[evHiReachesKInPair] || (hi1 < k && hi == k)
+		ev[evFloorPassesCell1] = ev[evFloorPassesCell1] || (floor1 == 0 && lo-off == 1)
+	}
+	ev[evOddRounds+rounds%2] = true
+	return ev
+}
+
 // TestTailDPAVX2MatchesGeneric runs the one-routine DP and the textbook DP
-// on identical vectors — certain, impossible, subnormal and generic tuples,
-// every threshold from 1 to n for short vectors and random ones for long
-// vectors, so bands of every width and both floor regimes occur — and
-// requires the same bits.
+// on identical vectors and requires the same bits. Short vectors run at
+// every threshold from 1 to n, with no certain tuple and with a run of one
+// to three certain tuples at every position, so every edge of the blocked
+// pass occurs at both parities of the pairing: odd and even numbers of
+// band rounds, certain tuples inside a pair, hi first reaching k at round
+// 2 and the floor passing cell 1 between the rounds (the test fails if
+// one never occurs). Longer vectors mix certain, impossible, subnormal and
+// generic tuples at random thresholds, so bands of every width and both
+// floor regimes occur.
 func TestTailDPAVX2MatchesGeneric(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("CPU without AVX2: the portable DP is the only one that runs")
 	}
 	rng := rand.New(rand.NewSource(59))
+	var seen [numPairEvents]int
 	check := func(probs []float64, k int) {
 		t.Helper()
 		want := refWindowDP(make([]float64, k+1), probs, k)
-		dist := make([]float64, k+1)
-		for i := range dist {
-			dist[i] = sweepCell(rng) // stale contents must not leak
+		var s Scratch
+		s.dist = make([]float64, dpGuard+k+1)
+		for i := range s.dist {
+			s.dist[i] = sweepCell(rng) // stale contents must not leak
 		}
-		if got := dpTail(dist, probs, k); math.Float64bits(got) != math.Float64bits(want) {
+		if got := dpTail(s.dpBuf(k+1), probs, k); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("n=%d k=%d: one-routine DP %v, textbook DP %v\nprobs=%v", len(probs), k, got, want, probs)
+		}
+		for e, ok := range pairEvents(probs, k) {
+			if ok {
+				seen[e]++
+			}
+		}
+	}
+	for n := 1; n <= 24; n++ {
+		base := make([]float64, n)
+		for i := range base {
+			base[i] = rng.Float64()
+		}
+		for k := 1; k <= n; k++ {
+			check(base, k)
+			for run := 1; run <= 3; run++ {
+				for at := 0; at+run <= n; at++ {
+					probs := append([]float64(nil), base...)
+					for i := at; i < at+run; i++ {
+						probs[i] = 1
+					}
+					check(probs, k)
+				}
+			}
+		}
+	}
+	for e, c := range seen {
+		if c == 0 {
+			t.Fatalf("edge case %d of the blocked pass never occurred", e)
 		}
 	}
 	for n := 1; n <= 40; n++ {
@@ -94,6 +173,42 @@ func TestTailDPAVX2MatchesGeneric(t *testing.T) {
 			}
 		}
 		check(probs, 1+rng.Intn(n))
+	}
+}
+
+// TestLeafPMFAVX2MatchesFoldTuple runs the two-tuples-per-pass leaf and the
+// foldTuple chain on identical vectors of every length 1…convLeafN+1, at
+// thresholds below, at and above the length (absorbing, absorbing from
+// the last tuple, and the full PMF), and requires every cell to agree bit
+// for bit.
+func TestLeafPMFAVX2MatchesFoldTuple(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("CPU without AVX2: the portable leaf is the only one that runs")
+	}
+	rng := rand.New(rand.NewSource(61))
+	var s Scratch
+	for n := 1; n <= convLeafN+1; n++ {
+		probs := make([]float64, n)
+		for i := range probs {
+			probs[i] = sweepCell(rng)
+		}
+		for _, k := range []int{1, (n + 1) / 2, n - 1, n, n + 1} {
+			if k < 1 {
+				continue
+			}
+			L := min(n, k)
+			want := make([]float64, L+1)
+			leafPMFGeneric(want, probs, k)
+			s.dist = make([]float64, dpGuard+L+1)
+			for i := range s.dist {
+				s.dist[i] = sweepCell(rng) // stale contents must not leak
+			}
+			got := make([]float64, L+1)
+			s.leafPMF(got, probs, k)
+			if i := firstBitDiff(want, got); i >= 0 {
+				t.Fatalf("n=%d k=%d: cell %d = %v, foldTuple chain %v", n, k, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -9,8 +9,12 @@ const useAVX2 = false
 // only previous-round values. lo must be ≥ 1 and hi < len(d) when lo ≤ hi.
 func sweepDown(d []float64, lo, hi int, q, p float64) { sweepDownGeneric(d, lo, hi, q, p) }
 
-// dpTail is the tail DP Scratch.Tail runs.
-func dpTail(dist, probs []float64, k int) float64 { return tailDP(dist, probs, k) }
+// dpTail is the tail DP Scratch.Tail runs on a buffer from dpBuf(k+1).
+func dpTail(buf, probs []float64, k int) float64 { return tailDP(buf[dpGuard:], probs, k) }
+
+// leafPMF fills v (length min(len(probs), k)+1) with the truncated PMF of
+// probs.
+func (s *Scratch) leafPMF(v, probs []float64, k int) { leafPMFGeneric(v, probs, k) }
 
 // axpy sets dst[j] += a·src[j] for every j < len(dst).
 func axpy(dst, src []float64, a float64) { axpyGeneric(dst, src, a) }
