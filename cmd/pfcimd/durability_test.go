@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/probdata/pfcim/internal/service/servicetest"
 )
 
 // jobReply is the slice of a job response these assertions care about; the
@@ -264,5 +266,5 @@ func TestDaemonKillRestartServesPriorResults(t *testing.T) {
 
 	// The restarted daemon serves the seeded mixed traffic: only 2xx
 	// answers, and every job it accepts ends done.
-	mixedTraffic(t, base2, 1)
+	servicetest.MixedTraffic(t, base2, 1)
 }

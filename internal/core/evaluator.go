@@ -59,7 +59,7 @@ func newEvaluator(m *miner) *Evaluator {
 // entry point the sweep engine uses — one full enumeration at the loosest
 // threshold, then per-candidate replay at the tighter ones.
 func MineEvaluated(ctx context.Context, db *uncertain.DB, opts Options) (*Result, *Evaluator, error) {
-	res, m, err := mineWithMiner(ctx, db, opts)
+	res, m, err := mineWithReuse(ctx, db, opts, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -32,6 +32,10 @@ type miner struct {
 	// in incremental.go and the run is forced onto the serial DFS path.
 	reuse *ReuseCache
 
+	// topK > 0 makes the run a top-k search (MineTopK): accept keeps the
+	// topK best results and raises opts.PFCT to the k-th best (topk.go).
+	topK int
+
 	// rec receives phase-level wall-time spans when Options.Tracer is set;
 	// nil otherwise (every method is a nil-safe no-op, so the untraced hot
 	// path pays one nil check per call site). Parallel sub-miners each hold
@@ -306,19 +310,14 @@ func Mine(db *uncertain.DB, opts Options) (*Result, error) {
 // the next enumeration-tree node once ctx is done. Long mining runs at low
 // support thresholds can take minutes; this is the production off-switch.
 func MineContext(ctx context.Context, db *uncertain.DB, opts Options) (*Result, error) {
-	res, _, err := mineWithMiner(ctx, db, opts)
+	res, _, err := mineWithReuse(ctx, db, opts, nil)
 	return res, err
 }
 
-// mineWithMiner runs a full mining pass and additionally returns the miner
-// so MineEvaluated can wrap its state (index, bitset freelist, tail memo)
-// in an Evaluator.
-func mineWithMiner(ctx context.Context, db *uncertain.DB, opts Options) (*Result, *miner, error) {
-	return mineWithReuse(ctx, db, opts, nil)
-}
-
-// mineWithReuse is mineWithMiner with an optional subtree-reuse cache
-// attached (nil for ordinary runs — see MineIncremental in incremental.go).
+// mineWithReuse runs a full mining pass with an optional subtree-reuse
+// cache attached (nil for ordinary runs — see MineIncremental in
+// incremental.go) and additionally returns the miner, so MineEvaluated can
+// wrap its state (index, bitset freelist, tail memo) in an Evaluator.
 func mineWithReuse(ctx context.Context, db *uncertain.DB, opts Options, reuse *ReuseCache) (*Result, *miner, error) {
 	opts, err := opts.normalize()
 	if err != nil {
@@ -538,6 +537,11 @@ func (m *miner) mineDFS() error {
 	}
 	for pos := 0; pos < len(m.cands); pos++ {
 		c := m.cands[pos]
+		// Every candidate beats pfct when buildCandidates ran; only a top-k
+		// run's rising threshold can overtake one since.
+		if c.prF <= m.opts.PFCT {
+			continue
+		}
 		if err := m.probFC(itemset.Itemset{c.item}, c.tids.Clone(), c.cnt, c.prF, pos+1); err != nil {
 			return err
 		}
@@ -732,7 +736,7 @@ func (m *miner) probFCNode(x itemset.Itemset, tids *bitset.Bitset, count int, pr
 			x, ri.Prob, ri.Lower, ri.Upper, ri.Method, accepted)
 	}
 	if accepted {
-		m.results = append(m.results, ri)
+		m.accept(ri)
 	}
 	return nil
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/probdata/pfcim/internal/itemset"
@@ -32,9 +35,14 @@ func topKOracle(t *testing.T, db *uncertain.DB, minSup, k int) []world.Result {
 
 func TestMineTopKPaperExample(t *testing.T) {
 	db := uncertain.PaperExample()
-	got, err := MineTopK(db, 2, 1, Options{Seed: 1})
+	var trace bytes.Buffer
+	got, err := MineTopK(db, 2, 1, Options{Seed: 1, Trace: &trace})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Top-k runs Mine's node body, trace events included.
+	if want := "subset-absorb {a} into {a b}"; !strings.Contains(trace.String(), want) {
+		t.Errorf("trace lacks %q:\n%s", want, trace.String())
 	}
 	if len(got) != 1 || !itemset.Equal(got[0].Items, itemset.FromInts(0, 1, 2)) {
 		t.Fatalf("top-1 = %v, want {a b c}", got)
@@ -52,31 +60,58 @@ func TestMineTopKPaperExample(t *testing.T) {
 	}
 }
 
+// TestMineTopKAgainstOracle checks top-k under the options that change how
+// the shared DFS computes — sharded tails, a requested work-stealing pool
+// (which top-k must ignore: its output equals the serial run's exactly), no
+// Chernoff–Hoeffding pruning, compressed tidsets — against exact ranking.
 func TestMineTopKAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
+	variants := []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"shards2", Options{Shards: 2}},
+		{"parallel4", Options{Parallelism: 4}},
+		{"nochernoff", Options{DisableCH: true}},
+		{"compressed", Options{Tidsets: TidsetsCompressed}},
+	}
 	for trial := 0; trial < 25; trial++ {
 		db := randomDB(rng, 8, 5)
 		minSup := rng.Intn(2) + 1
 		k := rng.Intn(4) + 1
 		want := topKOracle(t, db, minSup, k)
-		got, err := MineTopK(db, minSup, k, Options{Seed: int64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d results, oracle %d\ngot=%v\nwant=%v",
-				trial, len(got), len(want), got, want)
-		}
-		// Compare the probability profile rather than the identity of
-		// tied/overlapping itemsets: the estimated probabilities may break
-		// ties differently than the exact ones.
-		for i := range got {
-			// Bound-accepted results guarantee only their interval; other
-			// methods must be close to the oracle value.
-			inBounds := want[i].Prob >= got[i].Lower-1e-6 && want[i].Prob <= got[i].Upper+1e-6
-			if math.Abs(got[i].Prob-want[i].Prob) > 0.05 && !inBounds {
-				t.Fatalf("trial %d rank %d: prob %v [%v,%v] vs oracle %v (got %v, want %v)",
-					trial, i, got[i].Prob, got[i].Lower, got[i].Upper, want[i].Prob, got[i].Items, want[i].Items)
+		var serial []ResultItem
+		for _, v := range variants {
+			opts := v.opts
+			opts.Seed = int64(trial)
+			got, err := MineTopK(db, minSup, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch v.name {
+			case "default":
+				serial = got
+			case "parallel4":
+				if !reflect.DeepEqual(got, serial) {
+					t.Fatalf("trial %d: Parallelism 4 gave %v, serial %v", trial, got, serial)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d %s: got %d results, oracle %d\ngot=%v\nwant=%v",
+					trial, v.name, len(got), len(want), got, want)
+			}
+			// Compare the probability profile rather than the identity of
+			// tied/overlapping itemsets: the estimated probabilities may break
+			// ties differently than the exact ones.
+			for i := range got {
+				// Bound-accepted results guarantee only their interval; other
+				// methods must be close to the oracle value.
+				inBounds := want[i].Prob >= got[i].Lower-1e-6 && want[i].Prob <= got[i].Upper+1e-6
+				if math.Abs(got[i].Prob-want[i].Prob) > 0.05 && !inBounds {
+					t.Fatalf("trial %d %s rank %d: prob %v [%v,%v] vs oracle %v (got %v, want %v)",
+						trial, v.name, i, got[i].Prob, got[i].Lower, got[i].Upper, want[i].Prob, got[i].Items, want[i].Items)
+				}
 			}
 		}
 	}

@@ -127,19 +127,6 @@ func (s *System) PairProb(i, j int) float64 {
 	return s.eventProb(s.interBuf)
 }
 
-// Prefix returns a view over the first k clauses, sharing the base, the
-// probability vector, and the tail hook. The view shares scratch state with
-// s, so use them serially, never concurrently.
-func (s *System) Prefix(k int) *System {
-	return &System{
-		Base:    s.Base,
-		Probs:   s.Probs,
-		MinSup:  s.MinSup,
-		Clauses: s.Clauses[:k],
-		TailFn:  s.TailFn,
-	}
-}
-
 // ExactUnionLimit bounds the inclusion–exclusion fallback.
 const ExactUnionLimit = 20
 

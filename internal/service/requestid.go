@@ -18,7 +18,6 @@ import (
 // daemon's handling, and the worker-side evaluations it caused.
 
 type reqLogKey struct{}
-type reqIDKey struct{}
 
 // withRequestID wraps the daemon mux: mints the request ID, installs the
 // request-scoped logger and shard trace ID into the context, and logs one
@@ -28,8 +27,7 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 		id := "r" + strconv.FormatInt(s.reqSeq.Add(1), 10)
 		rl := s.log.With("request_id", id)
 		w.Header().Set("X-Request-Id", id)
-		ctx := context.WithValue(r.Context(), reqIDKey{}, id)
-		ctx = context.WithValue(ctx, reqLogKey{}, rl)
+		ctx := context.WithValue(r.Context(), reqLogKey{}, rl)
 		ctx = shard.WithTraceID(ctx, id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
@@ -46,12 +44,6 @@ func (s *Server) rlog(r *http.Request) *slog.Logger {
 		return l
 	}
 	return s.log
-}
-
-// requestIDFrom returns the minted request ID ("" outside the middleware).
-func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(reqIDKey{}).(string)
-	return id
 }
 
 // statusWriter captures the response status for the access log.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/probdata/pfcim/internal/core"
+	"github.com/probdata/pfcim/internal/service/servicetest"
 	"github.com/probdata/pfcim/internal/shard"
 	"github.com/probdata/pfcim/internal/uncertain"
 )
@@ -134,7 +135,7 @@ func TestCoordinatorMixedTraffic(t *testing.T) {
 		ShardWorkers:    urls,
 		ShardRPCTimeout: 5 * time.Second,
 	})
-	mixedTraffic(t, ts.URL, 1)
+	servicetest.MixedTraffic(t, ts.URL, 1)
 	if s.Metrics()["shard_tail_evaluations"] == 0 {
 		t.Error("no tail evaluation went over RPC")
 	}

@@ -192,7 +192,9 @@ func Mine(db *Database, opts Options) (*Result, error) {
 // probability at the given minimum support; no pfct is needed — the
 // acceptance threshold rises to the running k-th best, so the pruning
 // machinery keeps working. Results are sorted by descending probability.
-// Once ctx is done the run aborts with ctx.Err().
+// Once ctx is done the run aborts with ctx.Err(). Top-k always runs the
+// serial depth-first search, so opts.Parallelism and opts.Search are
+// ignored; opts.Trace and opts.Tracer apply as they do to Mine.
 func MineTopKContext(ctx context.Context, db *Database, minSup, k int, opts Options) ([]ResultItem, error) {
 	return core.MineTopKContext(ctx, db, minSup, k, opts)
 }
