@@ -3,7 +3,9 @@
 // mined and cross-checked — differentially against exact possible-world
 // enumeration when small enough, and against the oracle-free metamorphic
 // invariants on larger databases — until the budget expires or a
-// counterexample is found.
+// counterexample is found. A share of the cases grades the sampled
+// ApproxFCP estimates against the oracle; their misses, summed over the
+// run, must stay under the binomial quantile the (ε, δ) guarantee allows.
 //
 // Usage:
 //
@@ -41,15 +43,17 @@ func main() {
 	}
 
 	deadline := time.Now().Add(time.Duration(*seconds) * time.Second)
-	var differential, invariants, sharded, streamed int
+	var differential, invariants, sharded, streamed, calibrated int
+	var calib crosscheck.CalibrationReport
 	for i := int64(0); time.Now().Before(deadline); i++ {
 		for _, sh := range shapes {
-			// The rotation interleaves the four checkers: every eighth case
+			// The rotation interleaves the five checkers: every eighth case
 			// runs the (heavier) metamorphic invariants on a database beyond
 			// the oracle's reach, every eighth (offset 3) runs the shard-
 			// composability equivalence, every eighth (offset 5) slides the
-			// case through a window checking incremental ≡ from-scratch, and
-			// the rest are differential.
+			// case through a window checking incremental ≡ from-scratch,
+			// every eighth (offset 1) grades the sampler, and the rest are
+			// differential.
 			c := crosscheck.Case{Shape: sh, Seed: *seed + i}
 			var err error
 			switch {
@@ -63,17 +67,24 @@ func main() {
 			case i%8 == 5:
 				err = crosscheck.RunStreamEquivalence(c)
 				streamed++
+			case i%8 == 1:
+				var r crosscheck.CalibrationReport
+				if r, err = crosscheck.Calibrate(c); err == nil {
+					calib.Add(r)
+					err = calib.Check()
+				}
+				calibrated++
 			default:
 				err = crosscheck.RunDifferential(c)
 				differential++
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "FAIL after %d differential + %d invariant + %d shard + %d stream cases:\n%v\n",
-					differential, invariants, sharded, streamed, err)
+				fmt.Fprintf(os.Stderr, "FAIL after %d differential + %d invariant + %d shard + %d stream + %d calibration cases:\n%v\n",
+					differential, invariants, sharded, streamed, calibrated, err)
 				os.Exit(1)
 			}
 		}
 	}
-	fmt.Printf("crosscheck: OK — %d differential, %d invariant, %d shard and %d stream cases across %v in %ds\n",
-		differential, invariants, sharded, streamed, shapes, *seconds)
+	fmt.Printf("crosscheck: OK — %d differential, %d invariant, %d shard, %d stream and %d calibration cases (%v) across %v in %ds\n",
+		differential, invariants, sharded, streamed, calibrated, calib, shapes, *seconds)
 }

@@ -136,6 +136,58 @@ func TestStreamEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestCalibrationProperty grades ApproxFCP against the world oracle (see
+// Calibrate): 800 seeded databases per calibration shape, every union
+// sampled, pfct placed next to a candidate's exact Pr_FC. Over the fixed
+// seed set the estimates that miss by ε·union, and the verdicts on the
+// wrong side of pfct, must stay under the binomial quantile δ allows. The
+// grading must also reach enough estimates, verdicts and candidates near
+// pfct to mean something.
+func TestCalibrationProperty(t *testing.T) {
+	var rep CalibrationReport
+	// The shapes whose databases give sampled candidates: dense and
+	// correlated data make extension events probable.
+	for _, shape := range []Shape{ShapeDense, ShapeCorrelated, ShapeDegenerate} {
+		for i := 0; i < 800; i++ {
+			c := Case{Shape: shape, Seed: int64(9000 + i)}
+			r, err := Calibrate(c)
+			if err != nil {
+				t.Fatalf("%v\nreproduce: crosscheck.Calibrate(crosscheck.Case{Shape: %q, Seed: %d})", err, shape, c.Seed)
+			}
+			rep.Add(r)
+		}
+	}
+	t.Log(rep)
+	if rep.Estimates < 600 || rep.Verdicts < 250 || rep.Near < 250 {
+		t.Fatalf("calibration reached too little: %v", rep)
+	}
+	if err := rep.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBinomialQuantile pins the gate's quantile against exact tails.
+func TestBinomialQuantile(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		p     float64
+		alpha float64
+		want  int
+	}{
+		{0, 0.1, 1e-6, 0},
+		{1, 0.5, 0.5, 0},    // Pr[X > 0] = 0.5
+		{1, 0.5, 0.49, 1},   // needs c = 1
+		{10, 0.1, 0.071, 2}, // Pr[X > 2] ≈ 0.0702
+		{10, 0.1, 0.07, 3},  // Pr[X > 3] ≈ 0.0128
+		{10, 0.1, 0.01, 4},  // Pr[X > 4] ≈ 0.0016
+		{1000, 0.1, 1e-6, 148},
+	} {
+		if got := binomialQuantile(tc.n, tc.p, tc.alpha); got != tc.want {
+			t.Errorf("binomialQuantile(%d, %g, %g) = %d, want %d", tc.n, tc.p, tc.alpha, got, tc.want)
+		}
+	}
+}
+
 // TestStreamEquivalencePaperExample anchors the stream checker on Table II
 // at the paper's thresholds.
 func TestStreamEquivalencePaperExample(t *testing.T) {

@@ -17,10 +17,11 @@ type Sampler struct {
 	cs     poibin.CondSampler
 	cum    []float64
 	counts []int
-	esc    []uint64 // per-tid escape words, see escapes
-	masks  []uint64 // per-position escape words of the current clause
-	want   []uint64 // escape words a scoring sample must cover
-	union  []uint64 // OR of the current clause's masks, then Covers scratch
+	esc    []uint64  // per-tid escape words, see escapes
+	masks  []uint64  // per-position escape words of the current clause
+	rest   []float64 // probabilities of its positions that escape nothing
+	want   []uint64  // escape words a scoring sample must cover
+	union  []uint64  // OR of the current clause's masks, then Covers scratch
 }
 
 // KarpLuby estimates Pr(C_1 ∪ … ∪ C_m) by coverage sampling (the
@@ -33,18 +34,24 @@ type Sampler struct {
 // B_i from the Poisson-binomial law conditioned on "≥ MinSup present"
 // (poibin.CondSampler). Every present tid then lies inside B_i, so C_i
 // holds and an earlier clause C_j holds exactly when no present tid
-// escapes B_j. The sample scores once every earlier clause of nonzero
-// probability has been escaped, which the walk detects as it goes and then
-// stops: the remaining draws are skipped by counter, so the uniform stream
-// — and with it the estimate and the generator's final state — is exactly
-// the one drawing every world in full would produce. Samples whose verdict
-// is known before any draw (clause 0, which no earlier clause can beat; a
-// clause some earlier clause contains; a zero-probability clause, which
-// never scores) skip their worlds wholesale, and build the sampler table
-// only when it takes one to show that the clause's constraint has nonzero
-// probability (poibin.CondSampler.ResetSkip). The others are
-// walked by poibin.CondSampler.CountCovers, eight worlds at a time where
-// the CPU allows.
+// escapes B_j. Only the escape positions — tids of B_i outside some
+// earlier B_j of nonzero probability — can decide that, so the sampler
+// draws them first, in ascending tid order, and the other tids after them,
+// also in tid order (DESIGN §3.5). The chain-rule sampler draws the same
+// joint law in any variable order, so the order changes which world a
+// seed gives, not the estimator. The walk visits the escape positions
+// only and stops as soon as every earlier clause of nonzero probability
+// has been escaped: the remaining draws are skipped by counter, so the
+// uniform stream — and with it the estimate and the generator's final
+// state — is exactly the one drawing every world in full would produce.
+// Samples whose verdict is known before any draw (clause 0, which no
+// earlier clause can beat; a clause some earlier clause contains; a
+// zero-probability clause, which never scores) skip their worlds
+// wholesale, and run the sampler's tails only when it takes them to show
+// that the clause's constraint has nonzero probability
+// (poibin.CondSampler.ResetSkip). The others are walked by
+// poibin.CondSampler.CountCovers, eight worlds at a time where the CPU
+// allows, over a table of the escape positions' columns only.
 //
 // clauseProbs must be the exact Pr(C_i) values (e.g. Sums.Clause). The
 // estimator is unbiased; with nSamples = SampleSize(m, ε, δ) it is an
@@ -97,14 +104,14 @@ func (s *System) KarpLuby(rng *poibin.SM64, clauseProbs []float64, nSamples int)
 					kl.escapes(s, clauseProbs)
 					escapesBuilt = true
 				}
-				masks, union = kl.clauseMasks(s, i, len(probs))
+				masks, union = kl.clauseMasks(s, i, probs)
 				walk = slices.Equal(union, want)
 			}
 		}
 		cs := &kl.cs
 		var err error
 		if walk {
-			err = cs.Reset(probs, s.MinSup)
+			err = cs.Reset(probs, s.MinSup, len(masks)/len(want))
 		} else {
 			err = cs.ResetSkip(probs, s.MinSup)
 		}
@@ -154,34 +161,50 @@ func (kl *Sampler) escapes(s *System, clauseProbs []float64) {
 	kl.esc = esc
 }
 
-// clauseMasks gathers, for each of clause i's n positions (its tids in
-// ascending order), the escape bits of the clauses before i: w = ⌈i/64⌉
-// words per position. The returned union (w words) is their OR; once
-// checked, KarpLuby hands it to CountCovers as scratch.
-func (kl *Sampler) clauseMasks(s *System, i, n int) (masks, union []uint64) {
+// clauseMasks gathers, for each position of clause i (its tids in
+// ascending order, probs their probabilities), the escape bits of the
+// clauses before i: w = ⌈i/64⌉ words per position. It orders the positions
+// escape positions first — those with a bit set — and the rest after them,
+// each group in ascending tid order, permuting probs to match, and returns
+// the escape positions' masks only: the rest are zero. The returned union
+// (w words) is their OR; once checked, KarpLuby hands it to CountCovers as
+// scratch.
+func (kl *Sampler) clauseMasks(s *System, i int, probs []float64) (masks, union []uint64) {
 	ew, w := s.escapeWords(), (i+63)/64
 	last := ^uint64(0)
 	if i%64 != 0 {
 		last = 1<<(i%64) - 1
 	}
-	masks = growWords(kl.masks, n*w)
+	masks = growWords(kl.masks, len(probs)*w)
 	union = growWords(kl.union, w)
 	for j := range union {
 		union[j] = 0
 	}
-	esc, p := kl.esc, 0
+	rest := kl.rest[:0]
+	esc, p, walked := kl.esc, 0, 0
 	s.Clauses[i].ForEach(func(tid int) bool {
-		dst := masks[p*w : p*w+w]
+		dst := masks[walked*w : walked*w+w]
 		copy(dst, esc[tid*ew:tid*ew+w])
 		dst[w-1] &= last
+		var escapes uint64
 		for j, b := range dst {
 			union[j] |= b
+			escapes |= b
+		}
+		// A stable compaction: walked ≤ p, so probs[p] is read before
+		// any later write lands on it.
+		if escapes != 0 {
+			probs[walked] = probs[p]
+			walked++
+		} else {
+			rest = append(rest, probs[p])
 		}
 		p++
 		return true
 	})
-	kl.masks, kl.union = masks, union
-	return masks, union
+	copy(probs[walked:], rest)
+	kl.masks, kl.union, kl.rest = masks, union, rest
+	return masks[:walked*w], union
 }
 
 // earlier returns the bits of the clauses before i with nonzero

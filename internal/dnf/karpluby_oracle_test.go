@@ -15,6 +15,14 @@ import (
 // present-set and scans the clauses for the smallest one satisfied.
 // KarpLuby must reproduce its estimate and leave the generator in the
 // same state, bit for bit.
+//
+// The oracle also defines the realization: the order in which a world
+// conditioned on clause C_i draws its tids. When C_i has nonzero
+// probability, the escape positions — tids of B_i outside some earlier
+// B_j of nonzero probability — come first, in ascending tid order, and the
+// other tids follow, also in ascending order. Every other clause draws in
+// tid order; there every position escapes nothing, or no world is
+// walked.
 
 // oracleSampler is the conditional sampler over the full (n+1)×(k+1)
 // suffix-tail table.
@@ -147,7 +155,7 @@ func oracleKarpLuby(s *System, rng *poibin.SM64, clauseProbs []float64, nSamples
 		if ni == 0 {
 			continue
 		}
-		tids := s.Clauses[i].Indices()
+		tids := oracleOrder(s, i, clauseProbs)
 		probs := make([]float64, len(tids))
 		for t, tid := range tids {
 			probs[t] = s.Probs[tid]
@@ -171,6 +179,28 @@ func oracleKarpLuby(s *System, rng *poibin.SM64, clauseProbs []float64, nSamples
 		est = 1
 	}
 	return est, nil
+}
+
+// oracleOrder returns clause i's tids in the order its worlds draw them:
+// escape positions first when Pr(C_i) > 0, each group in ascending order.
+func oracleOrder(s *System, i int, clauseProbs []float64) []int {
+	tids := s.Clauses[i].Indices()
+	if clauseProbs[i] == 0 {
+		return tids
+	}
+	var escape, rest []int
+	for _, t := range tids {
+		escapes := false
+		for j, bj := range s.Clauses[:i] {
+			escapes = escapes || (clauseProbs[j] != 0 && !bj.Test(t))
+		}
+		if escapes {
+			escape = append(escape, t)
+		} else {
+			rest = append(rest, t)
+		}
+	}
+	return append(escape, rest...)
 }
 
 // oracleCase is one differential instance: a clause system, the clause

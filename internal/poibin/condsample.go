@@ -11,15 +11,23 @@ import (
 // possible worlds that satisfy a clause C_i (whose support part requires
 // sup(X+e_i) ≥ min_sup).
 //
-// Construction costs O(n·k) time for the conditional success table
+// The sampler rests on the suffix tails
 //
-//	pone[i][r] = Pr[ x_i = 1 | x_i + … + x_{n-1} ≥ r ]
-//	           = p_i · tail[i+1][r−1] / tail[i][r],
-//	tail[i][r] = Pr[ x_i + … + x_{n-1} ≥ r ],
+//	tail[i][r] = Pr[ x_i + … + x_{n-1} ≥ r ]
+//	           = p_i · tail[i+1][r−1] + (1−p_i) · tail[i+1][r],
 //
-// built backwards over two rolling tail rows, after which a draw walks
-// i = 0…n−1 with one table load and one uniform draw per step. A sampler
-// is reusable: Reset rebuilds it in place over its own buffers, so one
+// computed backwards over two rolling rows in O(n·k), and on the
+// conditional success table
+//
+//	pone[i][r] = Pr[ x_i = 1 | x_i + … + x_{n-1} ≥ r ] = p_i · tail[i+1][r−1] / tail[i][r],
+//
+// after which a draw walks i = 0, 1, … with one table load and one uniform
+// draw per step. A caller that only looks at the first L positions of each
+// world (dnf puts a clause's escape positions first) asks Reset for L
+// table columns: the columns from L on run the tail recurrence only, with
+// no division and no cell store, and the walks stop after position L−1,
+// skipping the world's remaining n−L draws by counter. A sampler is
+// reusable: Reset rebuilds it in place over its own buffers, so one
 // sampler serves every clause of every node.
 //
 // The table is built only in the band a walk can reach (DESIGN §13): a walk
@@ -29,6 +37,7 @@ import (
 // [0, 1) fails it.
 type CondSampler struct {
 	k, n int
+	cols int // table columns: positions a walk may visit
 	prob float64
 	// tab holds the table column by column: cell (i, r) at i·(k+1)+r, so
 	// the walk's two candidates for the next step are neighbours. Row 0
@@ -46,30 +55,33 @@ type CondSampler struct {
 // lanes is how many worlds the vector walker draws at once.
 const lanes = 8
 
-// NewCondSampler builds a sampler for the constraint Σ x_i ≥ k. It returns
-// an error if the constraint is unsatisfiable (k > n) or has probability
-// zero.
+// NewCondSampler builds a sampler for the constraint Σ x_i ≥ k with a table
+// over all n positions. It returns an error if the constraint is
+// unsatisfiable (k > n) or has probability zero.
 func NewCondSampler(probs []float64, k int) (*CondSampler, error) {
 	cs := &CondSampler{}
-	if err := cs.Reset(probs, k); err != nil {
+	if err := cs.Reset(probs, k, len(probs)); err != nil {
 		return nil, err
 	}
 	return cs, nil
 }
 
-// Reset rebuilds cs for a new constraint, reusing its buffers; the errors
-// are NewCondSampler's. cs copies probs.
-func (cs *CondSampler) Reset(probs []float64, k int) error {
+// Reset rebuilds cs for a new constraint, reusing its buffers, with table
+// columns for the first cols positions (clamped to [0, n]): walks after it
+// may visit those positions only. The errors are NewCondSampler's. cs
+// copies what it keeps of probs.
+func (cs *CondSampler) Reset(probs []float64, k, cols int) error {
 	n := len(probs)
 	k, err := checkConstraint(n, k)
 	if err != nil {
 		return err
 	}
-	cs.k, cs.n = k, n
+	cols = min(max(cols, 0), n)
+	cs.k, cs.n, cs.cols = k, n, cols
 	stride := k + 1
-	cs.tab = grow(cs.tab, (n+1)*stride)
+	cs.tab = grow(cs.tab, (cols+1)*stride)
 	tab := cs.tab
-	for i, p := range probs {
+	for i, p := range probs[:cols] {
 		tab[i*stride] = p
 	}
 	// next is tail[i+1], row is tail[i]; both start as tail[n]: ≥ 0 is
@@ -82,7 +94,14 @@ func (cs *CondSampler) Reset(probs []float64, k int) error {
 	clear(next)
 	clear(row)
 	next[0], row[0] = 1, 1
-	for i := n - 1; i >= 0; i-- {
+	i := n - 1
+	// Past the tabled columns only the tails are needed: one in-place pass
+	// per position, downwards so each cell still reads the previous
+	// round's, with the same products and sum as bandCells' tails.
+	for ; i >= cols; i-- {
+		sweepDown(next, max(1, k-i), min(k, n-i), 1-probs[i], probs[i])
+	}
+	for ; i >= 0; i-- {
 		lo, hi := max(1, k-i), min(k, n-i)
 		col := tab[i*stride : (i+1)*stride]
 		bandCells(col[lo:hi+1], row[lo:hi+1], next[lo-1:hi+1], probs[i])
@@ -96,11 +115,11 @@ func (cs *CondSampler) Reset(probs []float64, k int) error {
 }
 
 // ResetSkip prepares cs to Skip worlds of the constraint Σ x_i ≥ k and
-// returns Reset's errors. Skip needs no table, only n; the table is built
+// returns Reset's errors. Skip needs no table, only n; the tails are run
 // only to decide whether Pr[Σ x_i ≥ k] is 0. Every in-band tail is at
 // least the product of the last k probabilities (the world where those
 // tuples are present), so when that product is ≥ 2⁻⁹⁰⁰ no tail can round
-// to 0 and Prob() > 0 is proved without one. Until the next Reset, Covers
+// to 0 and Prob() > 0 is proved without them. Until the next Reset, Covers
 // and CountCovers must not be called and Prob is meaningless.
 func (cs *CondSampler) ResetSkip(probs []float64, k int) error {
 	n := len(probs)
@@ -111,10 +130,10 @@ func (cs *CondSampler) ResetSkip(probs []float64, k int) error {
 	prod := 1.0
 	for _, p := range probs[n-k:] {
 		if prod *= p; prod < 0x1p-900 {
-			return cs.Reset(probs, k)
+			return cs.Reset(probs, k, 0)
 		}
 	}
-	cs.k, cs.n = k, n
+	cs.k, cs.n, cs.cols = k, n, 0
 	return nil
 }
 
@@ -151,6 +170,9 @@ func (cs *CondSampler) Prob() float64 { return cs.prob }
 func (cs *CondSampler) CountCovers(rng *SM64, masks, want, acc []uint64, samples int) int {
 	hits := 0
 	vector := useAVX2 && len(want) == 1 && want[0] != 0
+	if vector {
+		cs.checkWalk(masks, 1)
+	}
 	for samples > 0 {
 		if vector && samples >= lanes && rng.retryGap() >= uint64(lanes*cs.n) {
 			hits += cs.walkLanes(rng, masks, want[0])
@@ -167,27 +189,39 @@ func (cs *CondSampler) CountCovers(rng *SM64, masks, want, acc []uint64, samples
 
 // Covers draws one conditioned world x and reports whether the masks of
 // its present positions together cover want: masks holds w = len(want)
-// words per position, position i's at masks[i·w : (i+1)·w], none with a
-// bit outside want, and acc (w words) is caller scratch. The draw stops as
-// soon as the verdict is in, but rng always ends exactly where walking all
-// n positions would leave it: every step draws once, so the draws the
+// words for each of the first L = len(masks)/w positions, position i's at
+// masks[i·w : (i+1)·w], none with a bit outside want, and acc (w words) is
+// caller scratch. The positions from L on carry no mask, so the walk visits
+// only the first L, which the last Reset must have tabled. The draw stops
+// as soon as the verdict is in, but rng always ends exactly where walking
+// all n positions would leave it: every step draws once, so the draws the
 // world did not need are skipped by counter. An empty want is covered
 // before the first draw.
 func (cs *CondSampler) Covers(rng *SM64, masks, want, acc []uint64) bool {
 	i, hit := 0, true
 	switch {
 	case len(want) == 1 && want[0] != 0:
+		cs.checkWalk(masks, 1)
 		i, hit = cs.walk1(rng, masks, want[0])
 	case len(want) > 1:
+		cs.checkWalk(masks, len(want))
 		i, hit = cs.walkN(rng, masks, want, acc)
 	}
 	rng.SkipFloat64(cs.n - i)
 	return hit
 }
 
+// checkWalk panics unless masks, w words per position, stays within the
+// tabled columns.
+func (cs *CondSampler) checkWalk(masks []uint64, w int) {
+	if len(masks) > cs.cols*w {
+		panic(fmt.Sprintf("poibin: walk over %d positions of a table with %d columns", len(masks)/w, cs.cols))
+	}
+}
+
 // walk1 is the walk of Covers for one mask word per position. It returns
 // the next position i where the walk stopped and whether the masks were
-// covered; on a miss it has walked all n positions.
+// covered; on a miss it has walked all L = len(masks) positions.
 //
 // A success is as likely as the cell, so the walk is branchless on it.
 // Non-negative doubles order like their bit patterns, so the draw is
@@ -197,20 +231,20 @@ func (cs *CondSampler) Covers(rng *SM64, masks, want, acc []uint64) bool {
 // the next step are neighbours, loaded before the draw resolves and
 // selected by s, so the table latency overlaps the compare instead of
 // serializing behind it. Once the constraint is met the walk reads row 0,
-// p_i, with no dependence between steps. The end of the conditioned phase
-// and the verdict are the only branches, and both are predictable. The
+// p_i, with no dependence between steps. The ends of the conditioned phase
+// and of the walked positions and the verdict are the only branches, and
+// all are predictable. The
 // generator lives in a local for the walk so its state stays in a
 // register.
 func (cs *CondSampler) walk1(rng *SM64, masks []uint64, want uint64) (int, bool) {
 	st := rng.state
-	n, stride := cs.n, cs.k+1
-	masks = masks[:n]
+	L, stride := len(masks), cs.k+1
 	tab := cs.tab
 	var acc uint64
 	i, r := 0, cs.k
 	idx := r // i·stride + r
 	cur := math.Float64bits(tab[idx])
-	for ; r > 0; i++ {
+	for ; r > 0 && i < L; i++ {
 		next := idx + stride
 		fail := math.Float64bits(tab[next])
 		succ := math.Float64bits(tab[next-1])
@@ -230,7 +264,7 @@ func (cs *CondSampler) walk1(rng *SM64, masks []uint64, want uint64) (int, bool)
 		}
 	}
 	// Constraint met; the rest is unconditioned.
-	for ; i < n; i++ {
+	for ; i < L; i++ {
 		var u uint64
 		st, u = nextFloatBits(st)
 		sm := -((u - math.Float64bits(tab[i*stride])) >> 63)
@@ -241,7 +275,7 @@ func (cs *CondSampler) walk1(rng *SM64, masks []uint64, want uint64) (int, bool)
 		}
 	}
 	rng.state = st
-	return n, false
+	return L, false
 }
 
 // walkN is walk1 for w = len(want) > 1 mask words per position, with acc
@@ -266,12 +300,12 @@ func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, bool) {
 		return 0, true
 	}
 	st := rng.state
-	n, stride := cs.n, cs.k+1
+	L, stride := len(masks)/w, cs.k+1
 	tab := cs.tab
 	i, r := 0, cs.k
 	idx := r
 	cur := math.Float64bits(tab[idx])
-	for ; r > 0; i++ {
+	for ; r > 0 && i < L; i++ {
 		next := idx + stride
 		fail := math.Float64bits(tab[next])
 		succ := math.Float64bits(tab[next-1])
@@ -287,7 +321,7 @@ func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, bool) {
 			return i + 1, true
 		}
 	}
-	for ; i < n; i++ {
+	for ; i < L; i++ {
 		var u uint64
 		st, u = nextFloatBits(st)
 		if cover(i, -((u - math.Float64bits(tab[i*stride])) >> 63)) {
@@ -296,7 +330,7 @@ func (cs *CondSampler) walkN(rng *SM64, masks, want, acc []uint64) (int, bool) {
 		}
 	}
 	rng.state = st
-	return n, false
+	return L, false
 }
 
 // nextFloatBits is SM64.Float64 over a bare state — same draws, same

@@ -31,9 +31,10 @@ func (cs *CondSampler) Sample(rng *SM64, dst []bool) {
 }
 
 // bandNaN reports whether cs's table holds a NaN cell — a suffix tail that
-// underflowed to 0 — inside the band max(1, k−i) ≤ r ≤ min(k, n−i).
+// underflowed to 0 — inside the band max(1, k−i) ≤ r ≤ min(k, n−i) of its
+// tabled columns.
 func bandNaN(cs *CondSampler) bool {
-	for i := 0; i < cs.n; i++ {
+	for i := 0; i < cs.cols; i++ {
 		for r := max(1, cs.k-i); r <= min(cs.k, cs.n-i); r++ {
 			if p := cs.tab[i*(cs.k+1)+r]; p != p {
 				return true
@@ -83,7 +84,7 @@ func TestReachableCellsFinite(t *testing.T) {
 	var cs CondSampler
 	tables, withNaN := 0, 0
 	check := func(probs []float64, k int) {
-		if cs.Reset(probs, k) != nil {
+		if cs.Reset(probs, k, len(probs)) != nil {
 			return
 		}
 		tables++
@@ -302,19 +303,29 @@ func randomCondInstance(rng *rand.Rand) ([]float64, int) {
 	return probs, rng.Intn(n + 1)
 }
 
-// TestCoversMatchesFullWalk checks the early-stopping walk against the
-// materializing one: same verdict, and the generator left in the same
-// state, including starts that put a Float64 retry inside the part of the
-// walk Covers skips. One sampler is Reset across all instances, so stale
-// table contents from a larger earlier instance would show.
+// TestCoversMatchesFullWalk checks the early-stopping walk over a table of
+// the first L columns against the materializing walk over the full table,
+// with masks on the first L positions only: same verdict, and the
+// generator left in the same state, including starts that put a Float64
+// retry inside the part of the walk Covers skips. One sampler is Reset
+// across all instances, so stale table contents from a larger earlier
+// instance would show.
 func TestCoversMatchesFullWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var cs CondSampler
-	withNaN := 0
+	withNaN, prefix := 0, 0
 	for trial := 0; trial < 600; trial++ {
 		probs, k := randomCondInstance(rng)
-		if err := cs.Reset(probs, k); err != nil {
+		n := len(probs)
+		cols := n
+		if rng.Intn(2) == 0 {
+			cols = rng.Intn(n + 1)
+		}
+		if err := cs.Reset(probs, k, cols); err != nil {
 			continue
+		}
+		if cols < n {
+			prefix++
 		}
 		ref, err := NewCondSampler(probs, k)
 		if err != nil {
@@ -323,9 +334,8 @@ func TestCoversMatchesFullWalk(t *testing.T) {
 		if bandNaN(&cs) {
 			withNaN++
 		}
-		n := len(probs)
 		w := rng.Intn(3) + 1
-		masks := make([]uint64, n*w)
+		masks := make([]uint64, cols*w)
 		union := make([]uint64, w)
 		for i := range masks {
 			if rng.Float64() < 0.3 {
@@ -346,7 +356,7 @@ func TestCoversMatchesFullWalk(t *testing.T) {
 		world := make([]bool, n)
 		ref.Sample(&full, world)
 		acc := make([]uint64, w)
-		for i, on := range world {
+		for i, on := range world[:cols] {
 			if on {
 				for j := 0; j < w; j++ {
 					acc[j] |= masks[i*w+j]
@@ -374,5 +384,8 @@ func TestCoversMatchesFullWalk(t *testing.T) {
 	}
 	if withNaN == 0 {
 		t.Error("no instance had a NaN cell in the walk's band")
+	}
+	if prefix == 0 {
+		t.Error("no instance tabled fewer columns than positions")
 	}
 }

@@ -57,9 +57,19 @@ func checkCountCovers(t *testing.T, cs *CondSampler, masks, want []uint64, sampl
 	return useAVX2 && len(want) == 1 && want[0] != 0 && samples >= lanes
 }
 
+// tableCols picks how many columns a test tables of n positions: all of
+// them half the time, else a random prefix (none included).
+func tableCols(rng *rand.Rand, n int) int {
+	if rng.Intn(2) == 0 {
+		return n
+	}
+	return rng.Intn(n + 1)
+}
+
 // TestCountCoversMatchesCovers covers every lane remainder (0…20 worlds:
-// none, one and two whole groups plus 0…7 left over), sizes up to 700 and
-// k ∈ {0, 1, n/3, n}, with wants that are covered early, late and never.
+// none, one and two whole groups plus 0…7 left over), sizes up to 700,
+// k ∈ {0, 1, n/3, n} and tables of every position or a prefix, with wants
+// that are covered early, late and never.
 func TestCountCoversMatchesCovers(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	var cs CondSampler
@@ -70,15 +80,16 @@ func TestCountCoversMatchesCovers(t *testing.T) {
 			for i := range probs {
 				probs[i] = 0.2 + 0.8*rng.Float64()
 			}
-			if err := cs.Reset(probs, k); err != nil {
+			cols := tableCols(rng, n)
+			if err := cs.Reset(probs, k, cols); err != nil {
 				t.Fatal(err)
 			}
 			for samples := 0; samples <= 20; samples++ {
 				// Few bits are covered early, many late.
-				masks, union := walkMasks(rng, n, 1+rng.Intn(64), rng.Float64())
+				masks, union := walkMasks(rng, cols, 1+rng.Intn(64), rng.Float64())
 				want := []uint64{union}
 				if rng.Intn(4) == 0 {
-					want[0] |= 1 << 63 // never covered: every world walks all n
+					want[0] |= 1 << 63 // never covered: every world walks every column
 				}
 				if checkCountCovers(t, &cs, masks, want, samples, rng.Uint64()) {
 					vector++
@@ -113,7 +124,8 @@ func TestCountCoversFallbacks(t *testing.T) {
 			}
 		}
 		k := rng.Intn(n + 1)
-		if err := cs.Reset(probs, k); err != nil {
+		cols := tableCols(rng, n)
+		if err := cs.Reset(probs, k, cols); err != nil {
 			continue
 		}
 		nan := bandNaN(&cs)
@@ -121,7 +133,7 @@ func TestCountCoversFallbacks(t *testing.T) {
 			withNaN++
 		}
 		w := 1 + rng.Intn(3)
-		masks := make([]uint64, n*w)
+		masks := make([]uint64, cols*w)
 		want := make([]uint64, w)
 		for i := range masks {
 			if rng.Float64() < 0.3 {
@@ -158,10 +170,11 @@ func TestCountCoversRetryWindow(t *testing.T) {
 		for i := range probs {
 			probs[i] = 0.2 + 0.8*rng.Float64()
 		}
-		if err := cs.Reset(probs, rng.Intn(n+1)); err != nil {
+		cols := tableCols(rng, n)
+		if err := cs.Reset(probs, rng.Intn(n+1), cols); err != nil {
 			t.Fatal(err)
 		}
-		masks, union := walkMasks(rng, n, 1+rng.Intn(16), 0.5)
+		masks, union := walkMasks(rng, cols, 1+rng.Intn(16), 0.5)
 		c := retryCounters[rng.Intn(len(retryCounters))]
 		// Draw t of the group uses counter c0+t, so a start at c0 = c−t
 		// puts the retry at draw t.
@@ -208,8 +221,9 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
-// TestBandMatchesFullTable compares every in-band cell, NaN cells included,
-// row 0 and Prob with the full table, for instances up to n = 300 with
+// TestBandMatchesFullTable compares every in-band cell of the tabled
+// columns, NaN cells included, row 0 and Prob (run through the untabled
+// columns' tails) with the full table, for instances up to n = 300 with
 // zero, certain and underflowing probabilities. One sampler is Reset
 // across all of them, so a band edge that relied on a stale cell of a
 // larger earlier table would show.
@@ -234,7 +248,8 @@ func TestBandMatchesFullTable(t *testing.T) {
 		}
 		n := len(probs)
 		pone, prob := fullTable(probs, k)
-		err := cs.Reset(probs, k)
+		cols := tableCols(rng, n)
+		err := cs.Reset(probs, k, cols)
 		if (err != nil) != (prob <= 0) {
 			t.Fatalf("trial %d: Reset error %v with Pr = %v", trial, err, prob)
 		}
@@ -245,7 +260,7 @@ func TestBandMatchesFullTable(t *testing.T) {
 			t.Fatalf("trial %d: Prob %v, full table %v", trial, cs.Prob(), prob)
 		}
 		stride := k + 1
-		for i := 0; i < n; i++ {
+		for i := 0; i < cols; i++ {
 			if got := cs.tab[i*stride]; !sameFloat(got, probs[i]) {
 				t.Fatalf("trial %d: row 0 at %d = %v, want p = %v", trial, i, got, probs[i])
 			}
@@ -292,7 +307,7 @@ func TestResetSkipMatchesReset(t *testing.T) {
 		}
 		fast = CondSampler{} // a table after ResetSkip is one it built
 		errFast := fast.ResetSkip(probs, k)
-		errFull := full.Reset(probs, k)
+		errFull := full.Reset(probs, k, n)
 		if fmt.Sprint(errFast) != fmt.Sprint(errFull) {
 			t.Fatalf("trial %d: ResetSkip error %v, Reset %v", trial, errFast, errFull)
 		}
@@ -322,9 +337,9 @@ func TestResetSkipMatchesReset(t *testing.T) {
 }
 
 // FuzzCondWalk compares CountCovers with the Covers loop on instances the
-// seed shapes: size, k, probability mix (tables with unreachable NaN cells
-// included), mask density, want width, world count and a start near a
-// retry counter.
+// seed shapes: size, k, tabled columns, probability mix (tables with
+// unreachable NaN cells included), mask density, want width, world count
+// and a start near a retry counter.
 func FuzzCondWalk(f *testing.F) {
 	for _, seed := range []int64{0, 1, 2, 3, 42, 1 << 40} {
 		f.Add(seed)
@@ -348,15 +363,16 @@ func FuzzCondWalk(f *testing.F) {
 			}
 		}
 		k := []int{0, 1, n / 3, n, rng.Intn(n + 1)}[rng.Intn(5)]
+		cols := tableCols(rng, n)
 		var cs CondSampler
-		if err := cs.Reset(probs, k); err != nil {
+		if err := cs.Reset(probs, k, cols); err != nil {
 			return
 		}
 		w := 1
 		if rng.Intn(8) == 0 {
 			w = 2
 		}
-		masks := make([]uint64, n*w)
+		masks := make([]uint64, cols*w)
 		want := make([]uint64, w)
 		dense := rng.Float64()
 		for i := range masks {

@@ -91,14 +91,15 @@ func axpy(dst, src []float64, a float64) {
 //go:noescape
 func bandCellsAVX2(cell, row, next []float64, p, q float64)
 
-// walk8AVX2 walks eight conditioned worlds in lockstep over the sampler
-// table tab (column stride stride, every world starting at cell (0,
-// stride−1)), world j drawing from the generator state st[j]; masks holds
-// one word per position. It returns a bit mask of the worlds whose present
-// positions' masks cover want, bit j for world j. It trusts its caller for
-// a table whose band holds every cell a walk selects, every cell a walk
-// reaches being finite (DESIGN §13), and for states none of whose
-// len(masks) draws is a Float64 retry.
+// walk8AVX2 walks eight conditioned worlds in lockstep over the first
+// len(masks) positions of the sampler table tab (column stride stride,
+// every world starting at cell (0, stride−1)), world j drawing from the
+// generator state st[j]; masks holds one word per position. It returns a
+// bit mask of the worlds whose present positions' masks cover want, bit j
+// for world j. It trusts its caller for a table of len(masks) columns whose
+// band holds every cell a walk selects, every cell a walk reaches being
+// finite (DESIGN §13), and for states none of whose len(masks) draws is a
+// Float64 retry.
 //
 //go:noescape
 func walk8AVX2(tab []float64, masks []uint64, stride int, want uint64, st *[lanes]uint64) int
@@ -118,8 +119,10 @@ func bandCells(cell, row, next []float64, p float64) {
 
 // walkLanes draws the next eight worlds of CountCovers with the vector
 // walker, world j starting j·n draws after rng's state, and leaves rng
-// eight whole walks on. The caller guarantees the walker's preconditions:
-// a nonzero one-word want and no retry among the next 8·n draws.
+// eight whole worlds on; each walk visits the len(masks) tabled positions
+// only. The caller guarantees the walker's preconditions: a nonzero
+// one-word want, masks within the table and no retry among the next 8·n
+// draws.
 func (cs *CondSampler) walkLanes(rng *SM64, masks []uint64, want uint64) int {
 	n := cs.n
 	var st [lanes]uint64
@@ -127,5 +130,5 @@ func (cs *CondSampler) walkLanes(rng *SM64, masks []uint64, want uint64) int {
 		st[j] = rng.state + uint64(j*n)*golden
 	}
 	rng.state += uint64(lanes*n) * golden
-	return bits.OnesCount(uint(walk8AVX2(cs.tab[:n*(cs.k+1)], masks[:n], cs.k+1, want, &st)))
+	return bits.OnesCount(uint(walk8AVX2(cs.tab[:len(masks)*(cs.k+1)], masks, cs.k+1, want, &st)))
 }

@@ -296,3 +296,38 @@ func BenchmarkCountCovers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCountCoversMined is one walked clause at the shape perfbench's
+// Mushroom classes sample: n = 478 tuples with the paper's Gaussian
+// probabilities clamped to [0.01, 1], k = 95, a one-word want of two
+// earlier clauses and 4 escape positions, drawn first. Each op builds the
+// table and walks 1024 worlds, with the vector walker (where the CPU has
+// AVX2) and with the scalar walk.
+func BenchmarkCountCoversMined(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	const n, k, walked = 478, 95, 4
+	probs := make([]float64, n)
+	for i := range probs {
+		probs[i] = min(1, max(0.01, 0.5+0.5*rng.NormFloat64()))
+	}
+	masks := make([]uint64, walked)
+	for i := range masks {
+		probs[i] = 0.2 + 0.7*rng.Float64() // an escape position is uncertain
+		masks[i] = 1 + uint64(rng.Intn(3))
+	}
+	want, acc := []uint64{3}, make([]uint64, 1)
+	var cs CondSampler
+	for _, vector := range []bool{true, false} {
+		b.Run(map[bool]string{true: "vector", false: "scalar"}[vector], func(b *testing.B) {
+			defer func(v bool) { useAVX2 = v }(useAVX2)
+			useAVX2 = useAVX2 && vector
+			g := NewSM64(3)
+			for i := 0; i < b.N; i++ {
+				if err := cs.Reset(probs, k, walked); err != nil {
+					b.Fatal(err)
+				}
+				cs.CountCovers(g, masks, want, acc, 1024)
+			}
+		})
+	}
+}

@@ -2,8 +2,10 @@
 
 // The lockstep walker of CountCovers (condsample.go, DESIGN §13): eight
 // conditioned worlds, as two groups of four 64-bit lanes, walk the
-// positions i = 0…n−1 together. Per lane and step it draws exactly what
-// nextFloatBits draws:
+// positions i = 0…L−1 together, L = len(masks): the positions whose mask
+// can change a verdict, which dnf puts first and Reset tables. The
+// world's other draws are the caller's to skip. Per lane and step it draws
+// exactly what nextFloatBits draws:
 //
 //   - splitmix64: state += golden, then the finalizer, its two 64-bit
 //     multiplies each built from three VPMULUDQ (lo·lo + (hi·lo + lo·hi)<<32);
@@ -19,7 +21,11 @@
 // (VCMPPD, u < cell); a success while successes are owed (the cursor above
 // its column's row 0) moves the cursor one row down, and the position's
 // mask word, broadcast, is ORed into every succeeding lane's union. The
-// loop ends when every lane covers want or after position n−1.
+// loop ends when every lane covers want or after position L−1.
+//
+// Every instruction on a vector register is VEX-encoded: a legacy-SSE one
+// (MOVQ r64, X) while the upper YMM halves are dirty costs a state
+// transition, more than a short walk's whole loop.
 
 // Per-lane constants, four copies each.
 DATA walkc<>+0(SB)/8, $0x9E3779B97F4A7C15  // golden
@@ -110,15 +116,12 @@ TEXT ·walk8AVX2(SB), NOSPLIT, $32-80
 	MOVQ         tab_base+0(FP), AX
 	MOVQ         masks_base+24(FP), SI
 	MOVQ         masks_len+32(FP), CX
-	MOVQ         stride+48(FP), DX
 	MOVQ         st+64(FP), DI
 	VMOVDQU      (DI), Y0
 	VMOVDQU      32(DI), Y1
-	MOVQ         DX, X15
-	VPBROADCASTQ X15, Y15
-	LEAQ         -1(DX), BX
-	MOVQ         BX, X2
-	VPBROADCASTQ X2, Y2               // every world starts at cell (0, k)
+	VPBROADCASTQ stride+48(FP), Y15
+	VPCMPEQQ     Y2, Y2, Y2
+	VPADDQ       Y15, Y2, Y2          // every world starts at cell (0, k)
 	VMOVDQA      Y2, Y3
 	VPXOR        Y4, Y4, Y4
 	VPXOR        Y5, Y5, Y5

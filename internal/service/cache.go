@@ -42,11 +42,20 @@ type cacheEntry struct {
 // truncated convolution — shards ≥ 2, or a dataset with at least
 // poibin.ConvCrossoverN rows — append the token " conv=2", the revision of
 // the merge's absorbing cell (DESIGN §9.3, §13): results stored before it
-// differ in their low bits, so they must miss.
-func cacheKey(ds *Dataset, shards int, optionsKey string) string {
+// differ in their low bits, so they must miss. Mines that can reach the
+// Karp–Luby sampler append " kl=2", the revision of the order in which a
+// sampled world draws its tuples (DESIGN §3.5), for the same reason. A
+// candidate X has at most one clause per item outside X, and X is never
+// empty, so a dataset of at most MaxExactClauses+1 items resolves every
+// union exactly unless MaxExactClauses < 0 forces sampling. canon must be
+// the canonical options, so MaxExactClauses has its default.
+func cacheKey(ds *Dataset, canon core.Options, optionsKey string) string {
 	key := ds.ID + "\n" + optionsKey
-	if shards >= 2 || ds.DB().N() >= poibin.ConvCrossoverN {
+	if canon.Shards >= 2 || ds.DB().N() >= poibin.ConvCrossoverN {
 		key += " conv=2"
+	}
+	if canon.MaxExactClauses < 0 || ds.Stats.NumItems > canon.MaxExactClauses+1 {
+		key += " kl=2"
 	}
 	return key
 }

@@ -266,7 +266,11 @@ func (m *Manager) submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout t
 	if err := m.applyShards(&opts); err != nil {
 		return jobView{}, err
 	}
-	optKey, err := opts.CanonicalKey()
+	canon, err := opts.Canonical()
+	if err != nil {
+		return jobView{}, err
+	}
+	optKey, err := canon.CanonicalKey()
 	if err != nil {
 		return jobView{}, err
 	}
@@ -288,7 +292,7 @@ func (m *Manager) submit(ds *Dataset, ref string, oj core.OptionsJSON, timeout t
 		options:   oj,
 		opts:      opts,
 		optKey:    optKey,
-		cacheKey:  cacheKey(ds, opts.Shards, optKey),
+		cacheKey:  cacheKey(ds, canon, optKey),
 		timeout:   timeout,
 		submitted: time.Now(),
 	}
@@ -558,6 +562,22 @@ func (m *Manager) run(j *job) {
 	m.metrics.JobsRunning.Add(-1)
 	now := time.Now()
 
+	// Encode the result and write it to the cache and the store before
+	// taking m.mu: a store write fsyncs, and status reads, submits and
+	// drains must not wait on the disk. The job reads as running until the
+	// write returns, so a job that reads done has its result stored
+	// (DESIGN §17.2).
+	var result *encoded[core.ResultJSON]
+	var sweepRes *encoded[sweep.ResultJSON]
+	switch {
+	case err == nil && j.kind == JobKindSweep:
+		sweepRes = encodedValue(m.assembleSweep(j, sres))
+	case err == nil:
+		rj := res.JSON()
+		result = encodedValue(&rj)
+		m.cache.put(j.cacheKey, result)
+	}
+
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.finished = now
@@ -577,7 +597,7 @@ func (m *Manager) run(j *job) {
 	}
 	switch {
 	case err == nil && j.kind == JobKindSweep:
-		j.sweepRes = encodedValue(m.assembleSweep(j, sres))
+		j.sweepRes = sweepRes
 		j.status = StatusDone
 		m.metrics.JobsDone.Add(1)
 		m.metrics.SweepsDone.Add(1)
@@ -590,13 +610,11 @@ func (m *Manager) run(j *job) {
 		m.log.Info("sweep done", "job", j.id, "wall_ms", j.wallMillis,
 			"points", len(j.slots), "enumerations", sres.Stats.FullEnumerations)
 	case err == nil:
-		rj := res.JSON()
-		j.result = encodedValue(&rj)
+		j.result = result
 		if diff != nil {
 			j.diff = encodedValue(diff)
 		}
 		j.status = StatusDone
-		m.cache.put(j.cacheKey, j.result)
 		m.metrics.JobsDone.Add(1)
 		if j.watched {
 			m.metrics.WatchedMines.Add(1)
@@ -604,7 +622,7 @@ func (m *Manager) run(j *job) {
 		m.metrics.MineWallMillis.Add(j.wallMillis)
 		m.metrics.addStats(res.Stats)
 		m.log.Info("job done", "job", j.id, "wall_ms", j.wallMillis,
-			"itemsets", len(rj.Itemsets), "nodes", res.Stats.NodesVisited,
+			"itemsets", len(res.Itemsets), "nodes", res.Stats.NodesVisited,
 			"watched", j.watched, "subtrees_reused", res.Stats.SubtreesReused)
 	case j.userCanceled:
 		j.status = StatusCanceled

@@ -7,9 +7,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/probdata/pfcim/internal/store"
 	"github.com/probdata/pfcim/internal/uncertain"
 )
 
@@ -225,5 +228,100 @@ func TestStoreOpenFailure(t *testing.T) {
 	_, err := New(Config{StoreDir: filepath.Join(file, "store"), Logger: quietLogger()})
 	if err == nil {
 		t.Fatal("New accepted a store dir under a regular file")
+	}
+}
+
+// syncGate is a store.FS whose files' Sync blocks, once armed, until
+// release is closed; the first blocked Sync is announced on entered.
+type syncGate struct {
+	store.FS
+	armed   atomic.Bool
+	entered chan struct{} // buffered, one slot
+	release chan struct{}
+}
+
+func (g *syncGate) Create(path string) (store.File, error) {
+	f, err := g.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{f, g}, nil
+}
+
+type gatedFile struct {
+	store.File
+	g *syncGate
+}
+
+func (f gatedFile) Sync() error {
+	if !f.g.armed.Load() {
+		return f.File.Sync()
+	}
+	select {
+	case f.g.entered <- struct{}{}:
+	default:
+	}
+	<-f.g.release
+	return f.File.Sync()
+}
+
+// TestResultWriteOffManagerLock: a finished job writes its result to the
+// store without holding the manager's lock, so while that write's fsync is
+// stuck, status GETs and submits still answer. The job reads as running
+// until the write returns, then done, with its result in the store.
+func TestResultWriteOffManagerLock(t *testing.T) {
+	gate := &syncGate{FS: store.OS(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	st, err := store.OpenFS(gate, t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.armed.Store(true)
+	s, ts := testServer(t, Config{Workers: 1})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate.release) }) }
+	t.Cleanup(release) // runs before testServer's drain
+	// Only results persist: the registry keeps its datasets in memory, so
+	// registering writes nothing.
+	s.persist = &persister{st: st, log: s.log, mtr: s.metrics}
+	s.cache.persist = s.persist
+
+	ds := uploadDB(t, ts.URL, uncertain.PaperExample())
+	submit := func(pfct float64) JobInfo {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+			"dataset": ds.ID,
+			"options": map[string]any{"min_sup": 2, "pfct": pfct},
+		})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit pfct=%v: status %d", pfct, resp.StatusCode)
+		}
+		return decode[JobInfo](t, resp)
+	}
+	get := func(id string) JobInfo {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decode[JobInfo](t, resp)
+	}
+
+	first := submit(0.5)
+	<-gate.entered // the mined result's write is blocked in Sync
+	if info := get(first.ID); info.Status != StatusRunning {
+		t.Fatalf("job reads %s while its result write is blocked, want running", info.Status)
+	}
+	second := submit(0.6) // queued behind the blocked write on the one worker
+	if info := get(second.ID); info.Status != StatusQueued {
+		t.Fatalf("second job reads %s, want queued", info.Status)
+	}
+	release()
+	for _, id := range []string{first.ID, second.ID} {
+		if info := waitJob(t, ts.URL, id); info.Status != StatusDone {
+			t.Fatalf("job %s ended %s: %s", id, info.Status, info.Error)
+		}
+	}
+	if _, _, results := st.Counts(); results != 2 {
+		t.Fatalf("store holds %d results, want 2", results)
 	}
 }

@@ -60,7 +60,7 @@ func (m *Manager) submitSweep(ds *Dataset, oj core.OptionsJSON, pts []sweep.Poin
 		if err != nil {
 			return jobView{}, fmt.Errorf("service: sweep point %d: %w", i, err)
 		}
-		slots[i] = sweepSlot{point: p, key: cacheKey(ds, canon.Shards, key)}
+		slots[i] = sweepSlot{point: p, key: cacheKey(ds, canon, key)}
 	}
 	if timeout <= 0 || (m.maxJobTime > 0 && timeout > m.maxJobTime) {
 		timeout = m.maxJobTime

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"io/fs"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -382,6 +383,95 @@ func TestCacheKeyConvToken(t *testing.T) {
 			if !strings.HasSuffix(got, " conv=2") {
 				t.Fatalf("%s sweep point key %q has no conv=2 token", tc.name, got)
 			}
+		}
+	}
+}
+
+// TestCacheKeySamplerToken: a mine that can reach the Karp–Luby sampler —
+// MaxExactClauses < 0, or a dataset of more than MaxExactClauses+1 items —
+// is cached and stored under a key carrying the kl=2 token, so results
+// sampled in the earlier draw order miss. Every other key is unchanged.
+// The item bound is pinned against the miner too: at MaxExactClauses+1
+// items no union is sampled, and one item more, or one exact clause
+// fewer, samples.
+func TestCacheKeySamplerToken(t *testing.T) {
+	s, _ := testServer(t, Config{Workers: 1})
+	reg, m := s.Registry(), s.Jobs()
+	// denseDB has items 0…items−1, each in about half of 80 rows, so every
+	// singleton has a clause for every other item.
+	denseDB := func(items int) *uncertain.DB {
+		rng := rand.New(rand.NewSource(int64(items)))
+		rows := make([]uncertain.Transaction, 80)
+		for i := range rows {
+			its := []int{i % items}
+			for e := 0; e < items; e++ {
+				if rng.Intn(2) == 0 {
+					its = append(its, e)
+				}
+			}
+			rows[i] = uncertain.Transaction{Items: itemset.FromInts(its...), Prob: 0.3 + 0.6*rng.Float64()}
+		}
+		return uncertain.MustNewDB(rows)
+	}
+	const exact = 6 // the default MaxExactClauses
+	small, big := denseDB(exact+1), denseDB(exact+2)
+	base := core.OptionsJSON{MinSup: 8, PFCT: 0.5, DisableBounds: true}
+	with := func(f func(*core.OptionsJSON)) core.OptionsJSON {
+		oj := base
+		f(&oj)
+		return oj
+	}
+	forced := with(func(oj *core.OptionsJSON) { oj.MaxExactClauses = -1 })
+	fewer := with(func(oj *core.OptionsJSON) { oj.MaxExactClauses = exact - 1 })
+	sharded := with(func(oj *core.OptionsJSON) { oj.Shards = 2 })
+
+	for _, tc := range []struct {
+		name    string
+		db      *uncertain.DB
+		oj      core.OptionsJSON
+		token   string
+		sampled bool
+	}{
+		{"MaxExactClauses+1 items", small, base, "", false},
+		{"sharded, MaxExactClauses+1 items", small, sharded, " conv=2", false},
+		{"forced sampling", small, forced, " kl=2", true},
+		{"one exact clause fewer", small, fewer, " kl=2", true},
+		{"MaxExactClauses+2 items", big, base, " kl=2", true},
+		{"sharded, MaxExactClauses+2 items", big, sharded, " conv=2 kl=2", true},
+	} {
+		ds, _, err := reg.Register(tc.db, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts, err := tc.oj.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Mine(tc.db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Stats.Sampled > 0; got != tc.sampled {
+			t.Fatalf("%s: %d sampled unions, want sampling %v", tc.name, res.Stats.Sampled, tc.sampled)
+		}
+		canon, err := opts.CanonicalKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ds.ID + "\n" + canon + tc.token
+		info, err := m.Submit(ds, ds.ID, tc.oj, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := m.SubmitSweep(ds, tc.oj, []sweep.PointJSON{{PFCT: 0.5}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		job, point := m.jobs[info.ID].cacheKey, m.jobs[sw.ID].slots[0].key
+		m.mu.Unlock()
+		if job != want || point != want {
+			t.Fatalf("%s:\n job key   %q\n sweep key %q\n want      %q", tc.name, job, point, want)
 		}
 	}
 }
