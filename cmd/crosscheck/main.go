@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	crosscheck [-seconds 60] [-seed 1] [-shape dense|sparse|correlated|degenerate]
+//	crosscheck [-seconds 60] [-seed 1] [-shape dense|sparse|correlated|degenerate|sparsewide|gaussian]
 //
 // On failure it prints the (shape, seed) pair, which reproduces the exact
 // case via crosscheck.RunDifferential / RunInvariants, and exits 1.

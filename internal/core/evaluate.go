@@ -570,47 +570,69 @@ func (m *miner) pairwiseBounds(sys *dnf.System, probs []float64, slack float64) 
 	return lo, hi
 }
 
-// probsOf collects the existence probabilities of the tids in b into a
-// buffer owned by the miner, and sums their mean on the way, in the order
-// poibin.Mean would, so the Chernoff–Hoeffding bound needs no second pass.
-// Every caller consumes the slice (via a Poisson-binomial computation,
-// which never retains it) before calling probsOf again, so one buffer per
+// gather is what probsOf collects for one tidset: the existence
+// probabilities of its uncertain tuples in ascending tid order, the number
+// of its certain (p = 1) tuples, and the support's mean Σ probs + certain,
+// the Chernoff–Hoeffding bound's input. A miner without a certain-tuple
+// mask gathers every tuple, with certain = 0.
+type gather struct {
+	probs   []float64
+	certain int
+	mean    float64
+}
+
+// n is the number of tuples in the gathered tidset.
+func (g *gather) n() int { return len(g.probs) + g.certain }
+
+// probsOf gathers b into a buffer owned by the miner. Every caller
+// consumes the probabilities (via a Poisson-binomial computation, which
+// never retains them) before calling probsOf again, so one buffer per
 // miner suffices.
-func (m *miner) probsOf(b *bitset.Bitset) (probs []float64, mean float64) {
+func (m *miner) probsOf(b *bitset.Bitset) gather {
 	words := b.DenseWords()
 	if words == nil {
 		return m.probsOfIDs(b)
 	}
 	// Gather over the dense words directly: this runs once per tail
 	// evaluation, and the per-bit closure call of ForEach is measurable
-	// there.
-	buf, all := m.probsBuf[:0], m.probs
+	// there. The certain tuples of a word are counted, not visited.
+	buf, all, cert := m.probsBuf[:0], m.probs, m.certain
+	sum, c := 0.0, 0
 	for wi, w := range words {
+		if cert != nil {
+			c += bits.OnesCount64(w & cert[wi])
+			w &^= cert[wi]
+		}
 		base := wi * 64
 		for w != 0 {
 			p := all[base+bits.TrailingZeros64(w)]
 			buf = append(buf, p)
-			mean += p
+			sum += p
 			w &= w - 1
 		}
 	}
 	m.probsBuf = buf
-	return buf, mean
+	return gather{probs: buf, certain: c, mean: sum + float64(c)}
 }
 
 // probsOfIDs is probsOf for a compressed tidset. It is a function of its
 // own so that its closure's captured variables stay out of the dense
 // loop's registers.
-func (m *miner) probsOfIDs(b *bitset.Bitset) (probs []float64, mean float64) {
-	buf := m.probsBuf[:0]
+func (m *miner) probsOfIDs(b *bitset.Bitset) gather {
+	buf, cert := m.probsBuf[:0], m.certain
+	sum, c := 0.0, 0
 	b.ForEach(func(tid int) bool {
+		if cert != nil && cert[tid>>6]&(1<<(uint(tid)&63)) != 0 {
+			c++
+			return true
+		}
 		p := m.probs[tid]
 		buf = append(buf, p)
-		mean += p
+		sum += p
 		return true
 	})
 	m.probsBuf = buf
-	return buf, mean
+	return gather{probs: buf, certain: c, mean: sum + float64(c)}
 }
 
 func clamp01(v float64) float64 {

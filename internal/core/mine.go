@@ -27,6 +27,12 @@ type miner struct {
 	ctx      context.Context
 	worker   *worker // non-nil when mining inside the work-stealing pool
 
+	// certain holds the words of the index's certain-tuple (p = 1) mask,
+	// which probsOf counts instead of gathering; nil when the database has
+	// no certain tuple, and on sharded runs, whose folds gather every
+	// tuple (shard.go).
+	certain []uint64
+
 	// reuse, when non-nil, is the subtree-reuse cache of an incremental run
 	// (MineIncremental): probFC dispatches through the splice/record wrapper
 	// in incremental.go and the run is forced onto the serial DFS path.
@@ -59,7 +65,7 @@ type miner struct {
 	// convolution-tree buffers); tailFn is the lazily bound tailForDNF
 	// method value injected into clause systems.
 	tail   poibin.Scratch
-	tailFn func(b *bitset.Bitset, probs []float64) float64
+	tailFn func(b *bitset.Bitset) float64
 
 	// Sharded-run scratch (Options.Shards ≥ 2, see shard.go): the per-shard
 	// truncated PMF views of the fold.
@@ -111,22 +117,22 @@ const maxTailMemoEntries = 1 << 16
 
 // tailOf returns Pr_F of the itemset with tidset b — the Poisson-binomial
 // tail Pr[support ≥ MinSup] over b's tuple probabilities — consulting the
-// memo first. probs, when non-nil, must be probsOf(b) (callers that already
-// materialized it for the Chernoff-Hoeffding check pass it to avoid a
-// second scan on a miss). x and e carry the itemset identity for sharded
+// memo first. g, when non-nil, must be probsOf(b) (callers that already
+// gathered it for the Chernoff-Hoeffding check pass it to avoid a second
+// scan on a miss). x and e carry the itemset identity for sharded
 // runs — the target is x+e when e ≥ 0 (x may be nil: the single-item set
 // {e}), x alone when e < 0 — so an installed shard kernel can address the
 // same tidset on remote slices; unsharded runs ignore them. Memo misses on
 // sharded runs compute by the same sharded fold, so memo state never
 // changes results.
-func (m *miner) tailOf(b *bitset.Bitset, probs []float64, x itemset.Itemset, e itemset.Item) float64 {
+func (m *miner) tailOf(b *bitset.Bitset, g *gather, x itemset.Itemset, e itemset.Item) float64 {
 	prF, h, hit := m.memoGet(b)
 	if hit {
 		m.stats.TailMemoHits++
 		return prF
 	}
 	m.stats.TailEvaluations++
-	prF = m.tailCompute(b, probs, x, e)
+	prF = m.tailCompute(b, g, x, e)
 	m.memoPut(h, b, prF)
 	return prF
 }
@@ -158,27 +164,36 @@ func (m *miner) memoPut(h uint64, b *bitset.Bitset, prF float64) {
 }
 
 // tailCompute is the memo-miss tail computation: the sharded fold when
-// Shards ≥ 2, poibin's automatic kernel dispatch otherwise.
-func (m *miner) tailCompute(b *bitset.Bitset, probs []float64, x itemset.Itemset, e itemset.Item) float64 {
+// Shards ≥ 2, the uncertain tuples' tail (exactTail) otherwise.
+func (m *miner) tailCompute(b *bitset.Bitset, g *gather, x itemset.Itemset, e itemset.Item) float64 {
 	if m.sharded() {
-		return m.shardTail(b, probs, x, e)
+		return m.shardTail(b, g, x, e)
 	}
-	if probs == nil {
-		probs, _ = m.probsOf(b)
+	if g == nil {
+		return m.exactTail(m.probsOf(b))
 	}
-	return m.tail.Tail(probs, m.opts.MinSup)
+	return m.exactTail(*g)
+}
+
+// exactTail is Pr[S ≥ MinSup] of a gathered tidset. Each certain tuple
+// contributes the generating-function factor z, a shift by one, so the
+// tail is the uncertain tuples' tail at MinSup − certain; Scratch.Tail
+// returns 1 at a threshold ≤ 0.
+func (m *miner) exactTail(g gather) float64 {
+	return m.tail.Tail(g.probs, m.opts.MinSup-g.certain)
 }
 
 // tailForDNF is the tail evaluator injected into clause systems
 // (dnf.System.TailFn): it serves a clause tail from the memo when the
 // identical tidset was already evaluated by the enumeration — the common
 // case on dense data, where a clause tidset is exactly the extension
-// tidset of some X+e — and otherwise computes it on the miner's reusable
-// kernel scratch. It reads the memo but never inserts and never touches
-// the Stats counters, so the TailEvaluations/TailMemoHits split, the memo
-// contents, and every downstream hit/miss pattern stay byte-identical to
-// dnf calling poibin.Tail directly.
-func (m *miner) tailForDNF(b *bitset.Bitset, probs []float64) float64 {
+// tidset of some X+e — and otherwise gathers b with the miner's own
+// certain-tuple mask and computes it on the miner's reusable kernel
+// scratch, so a memo hit gathers nothing. It reads the memo but never
+// inserts and never touches the Stats counters, so the
+// TailEvaluations/TailMemoHits split, the memo contents, and every
+// downstream hit/miss pattern do not depend on the clause systems.
+func (m *miner) tailForDNF(b *bitset.Bitset) float64 {
 	if prF, _, hit := m.memoGet(b); hit {
 		return prF
 	}
@@ -186,14 +201,14 @@ func (m *miner) tailForDNF(b *bitset.Bitset, probs []float64) float64 {
 		// Clause tails are intersections with no itemset identity, so they
 		// are never delegated — but a sharded run must still fold them by
 		// shard so every tail in the run comes from the same arithmetic.
-		return m.shardTailLocal(b, probs)
+		return m.shardTailLocal(b, nil)
 	}
-	return m.tail.Tail(probs, m.opts.MinSup)
+	return m.exactTail(m.probsOf(b))
 }
 
 // dnfTailFn returns the miner's bound tailForDNF, creating the method
 // value once so clause-system construction stays allocation-free.
-func (m *miner) dnfTailFn() func(b *bitset.Bitset, probs []float64) float64 {
+func (m *miner) dnfTailFn() func(b *bitset.Bitset) float64 {
 	if m.tailFn == nil {
 		m.tailFn = m.tailForDNF
 	}
@@ -349,10 +364,15 @@ func mineWithReuse(ctx context.Context, db *uncertain.DB, opts Options, reuse *R
 func newMiner(ctx context.Context, db *uncertain.DB, opts Options) *miner {
 	idx := db.Index()
 	itemTids := tidsetsFor(idx, opts.Tidsets)
+	var certain []uint64
+	if opts.Shards < 2 && idx.Certain.Count() > 0 {
+		certain = idx.Certain.DenseWords()
+	}
 	return &miner{
 		opts:     opts,
 		db:       db,
 		probs:    db.Probs(),
+		certain:  certain,
 		allItems: supportedItems(idx.Items, itemTids, opts.MinSup),
 		itemTids: itemTids,
 		ctx:      ctx,
@@ -496,13 +516,13 @@ func (m *miner) buildCandidates() {
 // there, and the fetched PMFs are folded here and released. Without a plan
 // the bound is checked now.
 func (m *miner) boundedTail(b *bitset.Bitset, x itemset.Itemset, e itemset.Item, plan *tailPlan) (prF float64, pruned bool) {
-	var probs []float64
+	var g *gather
 	if plan != nil {
 		pruned = plan.pruned
 	} else {
-		var mean float64
-		probs, mean = m.probsOf(b)
-		pruned = m.chPrunes(mean, len(probs))
+		gv := m.probsOf(b)
+		g = &gv
+		pruned = m.chPrunes(g)
 	}
 	if pruned {
 		m.stats.CHPruned++
@@ -513,14 +533,13 @@ func (m *miner) boundedTail(b *bitset.Bitset, x itemset.Itemset, e itemset.Item,
 		plan.parts = nil
 		return m.tailFetched(b, parts), false
 	}
-	return m.tailOf(b, probs, x, e), false
+	return m.tailOf(b, g, x, e), false
 }
 
 // chPrunes is the Chernoff-Hoeffding rule (Lemma 4.1): the bound from the
-// mean and count of the target's tuple probabilities (probsOf) shows
-// Pr_F ≤ pfct.
-func (m *miner) chPrunes(mean float64, n int) bool {
-	return !m.opts.DisableCH && poibin.TailUpperBoundMean(mean, n, m.opts.MinSup) <= m.opts.PFCT
+// mean and count of the target's gathered tuples shows Pr_F ≤ pfct.
+func (m *miner) chPrunes(g *gather) bool {
+	return !m.opts.DisableCH && poibin.TailUpperBoundMean(g.mean, g.n(), m.opts.MinSup) <= m.opts.PFCT
 }
 
 // trace logs one enumeration event when tracing is enabled.

@@ -227,6 +227,7 @@ func (m *miner) mineDFSParallel() error {
 			opts:     m.opts,
 			db:       m.db,
 			probs:    m.probs,
+			certain:  m.certain,
 			allItems: m.allItems,
 			itemTids: m.itemTids,
 			cands:    m.cands,

@@ -37,13 +37,13 @@ func (m *miner) shardLayout() shard.Layout {
 // identity-free calls (DNF clause tails over intersected tidsets) and
 // declined delegations compute locally from b — bit-identically, since both
 // sides run PMFTrunc over the same per-range probability subsequences.
-func (m *miner) shardTail(b *bitset.Bitset, probs []float64, x itemset.Itemset, e itemset.Item) float64 {
+func (m *miner) shardTail(b *bitset.Bitset, g *gather, x itemset.Itemset, e itemset.Item) float64 {
 	if kern := m.opts.ShardKernel; kern != nil && (x != nil || e >= 0) {
 		if parts, ok := kern.TailPMFs([]shard.Query{{Items: x, Ext: e}}, m.opts.MinSup); ok {
 			return shard.TailParts(&m.tail, parts[0], m.opts.MinSup)
 		}
 	}
-	return m.shardTailLocal(b, probs)
+	return m.shardTailLocal(b, g)
 }
 
 // kernel returns the run's shard kernel, nil when tails fold inline.
@@ -95,8 +95,8 @@ type tailBatch struct {
 // must be fetched: the bound passes, the memo misses and no queued query
 // has the same tidset.
 func (m *miner) planTail(plans []tailPlan, j int, b *bitset.Bitset, q shard.Query) {
-	probs, mean := m.probsOf(b)
-	plans[j] = tailPlan{pruned: m.chPrunes(mean, len(probs))}
+	g := m.probsOf(b)
+	plans[j] = tailPlan{pruned: m.chPrunes(&g)}
 	if plans[j].pruned {
 		return
 	}
@@ -165,12 +165,15 @@ func (m *miner) tailFetched(b *bitset.Bitset, parts [][]float64) float64 {
 // shardTailLocal splits b's gathered probability vector at the layout
 // boundaries — the gathered vector is ascending in tid, so each shard's
 // tuples form one contiguous run, as long as b's count in the shard's tid
-// range — and folds the per-range truncated PMFs. probs, when non-nil,
-// must be probsOf(b).
-func (m *miner) shardTailLocal(b *bitset.Bitset, probs []float64) float64 {
-	if probs == nil {
-		probs, _ = m.probsOf(b)
+// range — and folds the per-range truncated PMFs. g, when non-nil, must
+// be probsOf(b); a sharded miner has no certain-tuple mask, so it holds
+// every tuple's probability.
+func (m *miner) shardTailLocal(b *bitset.Bitset, g *gather) float64 {
+	if g == nil {
+		gv := m.probsOf(b)
+		g = &gv
 	}
+	probs := g.probs
 	l := m.shardLayout()
 	if cap(m.shardParts) < l.N {
 		m.shardParts = make([][]float64, l.N)

@@ -36,7 +36,7 @@ const (
 	DiffMaxItems      = 6
 	InvariantMaxTrans = 36
 	InvariantMaxItems = 10
-	// Representation cases for the sparsewide shape go to sizes where the
+	// Representation cases for the wide shapes go to sizes where the
 	// auto tidset policy actually mixes dense and compressed sets (n ≥
 	// 1024).
 	RepMaxTrans = 2048
@@ -368,19 +368,19 @@ func Invariants(db *uncertain.DB, opts core.Options) error {
 }
 
 // RunRepresentation builds the case at representation sizes and checks
-// RepresentationEquivalence. The sparsewide shape goes to RepMaxTrans so
-// the auto policy's mixed dense/compressed containers are genuinely
-// exercised; the other shapes run at invariant sizes.
+// RepresentationEquivalence. The wide shapes (sparsewide, gaussian) go to
+// RepMaxTrans so the auto policy's mixed dense/compressed containers are
+// genuinely exercised; the other shapes run at invariant sizes.
 func RunRepresentation(c Case) error {
 	if c.MaxTrans == 0 {
-		if c.Shape == ShapeSparseWide {
+		if c.Shape.wide() {
 			c.MaxTrans = RepMaxTrans
 		} else {
 			c.MaxTrans = InvariantMaxTrans
 		}
 	}
 	if c.MaxItems == 0 {
-		if c.Shape == ShapeSparseWide {
+		if c.Shape.wide() {
 			c.MaxItems = RepMaxItems
 		} else {
 			c.MaxItems = InvariantMaxItems

@@ -65,7 +65,7 @@ func TestInvariantsProperty(t *testing.T) {
 
 // TestRepresentationProperty runs the representation-equivalence suite:
 // dense vs compressed tidsets at parallelism 1 and 4 must be
-// byte-identical. The sparsewide shape runs at RepMaxTrans (≥ 1024
+// byte-identical. The wide shapes run at RepMaxTrans (≥ 1024
 // transactions), where the auto policy genuinely mixes representations.
 func TestRepresentationProperty(t *testing.T) {
 	for _, shape := range Shapes {
@@ -73,7 +73,7 @@ func TestRepresentationProperty(t *testing.T) {
 		t.Run(string(shape), func(t *testing.T) {
 			t.Parallel()
 			cases := 12
-			if shape == ShapeSparseWide {
+			if shape.wide() {
 				cases = 6 // each case mines a ~2000-transaction database five times
 			}
 			if testing.Short() {
@@ -146,8 +146,10 @@ func TestStreamEquivalenceProperty(t *testing.T) {
 func TestCalibrationProperty(t *testing.T) {
 	var rep CalibrationReport
 	// The shapes whose databases give sampled candidates: dense and
-	// correlated data make extension events probable.
-	for _, shape := range []Shape{ShapeDense, ShapeCorrelated, ShapeDegenerate} {
+	// correlated data make extension events probable. The gaussian shape
+	// grades the sampler on tails whose certain tuples are counted, not
+	// gathered.
+	for _, shape := range []Shape{ShapeDense, ShapeCorrelated, ShapeDegenerate, ShapeGaussian} {
 		for i := 0; i < 800; i++ {
 			c := Case{Shape: shape, Seed: int64(9000 + i)}
 			r, err := Calibrate(c)

@@ -18,6 +18,9 @@ func FuzzMine(f *testing.F) {
 	}
 	f.Add(int64(1012), uint8(0), uint8(8), uint8(6))   // crossed-sandwich regression family
 	f.Add(int64(424242), uint8(3), uint8(1), uint8(1)) // smallest possible database
+	// testdata's e655d15b7d0036b9 as found, when its shape selector picked
+	// sparsewide from the five-shape list.
+	f.Add(int64(158), uint8(4), uint8('N'), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, shapeSel, transSel, itemsSel uint8) {
 		c := Case{
 			Shape:    Shapes[int(shapeSel)%len(Shapes)],

@@ -20,6 +20,7 @@ package crosscheck
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/probdata/pfcim/internal/itemset"
@@ -47,11 +48,23 @@ const (
 	// kernel's leaf size. Its transaction count is drawn from the upper
 	// half of the bound so large cases actually reach those paths.
 	ShapeSparseWide Shape = "sparsewide"
+	// ShapeGaussian is the sparsewide item structure with the paper's
+	// probability assignment: N(0.5, 0.5) clamped to [0.01, 1], so about a
+	// quarter of the tuples are certain (p = 1) and about a quarter sit at
+	// the 0.01 floor. The miner counts certain tuples by popcount instead
+	// of gathering them, on dense and compressed tidsets alike; this shape
+	// puts many of them in every tidset of both forms.
+	ShapeGaussian Shape = "gaussian"
 )
 
 // Shapes lists every shape, in the order the soak binary and property
 // suite iterate them.
-var Shapes = []Shape{ShapeDense, ShapeSparse, ShapeCorrelated, ShapeDegenerate, ShapeSparseWide}
+var Shapes = []Shape{ShapeDense, ShapeSparse, ShapeCorrelated, ShapeDegenerate, ShapeSparseWide, ShapeGaussian}
+
+// wide reports whether the shape draws its transaction count from the
+// upper half of the bound and runs its representation cases at
+// RepMaxTrans, where the auto tidset policy mixes both forms.
+func (s Shape) wide() bool { return s == ShapeSparseWide || s == ShapeGaussian }
 
 // ParseShape validates a shape name (the cmd/crosscheck -shape flag).
 func ParseShape(s string) (Shape, error) {
@@ -60,7 +73,7 @@ func ParseShape(s string) (Shape, error) {
 			return sh, nil
 		}
 	}
-	return "", fmt.Errorf("crosscheck: unknown shape %q (want dense, sparse, correlated, degenerate, or sparsewide)", s)
+	return "", fmt.Errorf("crosscheck: unknown shape %q (want dense, sparse, correlated, degenerate, sparsewide, or gaussian)", s)
 }
 
 // GenDB generates a random uncertain database of the given shape with at
@@ -71,6 +84,12 @@ func GenDB(shape Shape, rng *rand.Rand, maxTrans, maxItems int) *uncertain.DB {
 		panic(fmt.Sprintf("crosscheck: GenDB bounds must be ≥ 1, got maxTrans=%d maxItems=%d", maxTrans, maxItems))
 	}
 	n := rng.Intn(maxTrans) + 1
+	if shape.wide() {
+		n = maxTrans/2 + rng.Intn(maxTrans-maxTrans/2) + 1
+		if n > maxTrans {
+			n = maxTrans
+		}
+	}
 	var trans []uncertain.Transaction
 	switch shape {
 	case ShapeSparse:
@@ -80,11 +99,12 @@ func GenDB(shape Shape, rng *rand.Rand, maxTrans, maxItems int) *uncertain.DB {
 	case ShapeDegenerate:
 		trans = genDegenerate(rng, n, maxItems)
 	case ShapeSparseWide:
-		n = maxTrans/2 + rng.Intn(maxTrans-maxTrans/2) + 1
-		if n > maxTrans {
-			n = maxTrans
-		}
-		trans = genSparseWide(rng, n, maxItems)
+		trans = genSparseWide(rng, n, maxItems, func() float64 { return 0.05 + rng.Float64()*0.95 })
+	case ShapeGaussian:
+		sigma := math.Sqrt(0.5)
+		trans = genSparseWide(rng, n, maxItems, func() float64 {
+			return min(max(rng.NormFloat64()*sigma+0.5, 0.01), 1)
+		})
 	default: // ShapeDense
 		trans = genIndependent(rng, n, maxItems, 0.7, func() float64 { return 0.3 + rng.Float64()*0.7 })
 	}
@@ -115,7 +135,8 @@ func genIndependent(rng *rand.Rand, n, maxItems int, rate float64, probFn func()
 // rare item regardless of n. At n ≥ 1024 the rare tidsets fall under the
 // ShouldCompact density threshold while the common ones stay dense, and
 // the common items' supports exceed the convolution kernel's 512-leaf.
-func genSparseWide(rng *rand.Rand, n, maxItems int) []uncertain.Transaction {
+// Tuple probabilities come from probFn.
+func genSparseWide(rng *rand.Rand, n, maxItems int, probFn func() float64) []uncertain.Transaction {
 	nCommon := 3
 	if nCommon > maxItems {
 		nCommon = maxItems
@@ -140,7 +161,7 @@ func genSparseWide(rng *rand.Rand, n, maxItems int) []uncertain.Transaction {
 		if len(items) == 0 {
 			items = []itemset.Item{itemset.Item(rng.Intn(maxItems))}
 		}
-		trans = append(trans, uncertain.Transaction{Items: itemset.New(items...), Prob: 0.05 + rng.Float64()*0.95})
+		trans = append(trans, uncertain.Transaction{Items: itemset.New(items...), Prob: probFn()})
 	}
 	return trans
 }

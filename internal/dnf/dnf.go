@@ -33,13 +33,14 @@ type System struct {
 	// Clauses holds B_i ⊆ Base for every extension item e_i.
 	Clauses []*bitset.Bitset
 	// TailFn, when non-nil, computes the Poisson-binomial tail
-	// Pr[Σ Bernoulli(probs) ≥ MinSup] for the event tidset b, where probs
-	// is exactly the probability vector of b's members in ascending tid
-	// order. The miner injects its memoized tail evaluator here so clause
-	// evaluations share the mining run's memo (repeated intersections hit
-	// constantly on dense data); nil falls back to poibin.Tail. Any
-	// implementation must return values bit-identical to poibin.Tail.
-	TailFn func(b *bitset.Bitset, probs []float64) float64
+	// Pr[Σ Bernoulli ≥ MinSup] over the probabilities of the event tidset
+	// b's members, gathering them itself. The miner injects its memoized
+	// tail evaluator here so clause evaluations share the mining run's memo
+	// (repeated intersections hit constantly on dense data) and a memo hit
+	// gathers nothing; nil falls back to poibin.Tail over b's probability
+	// vector in ascending tid order. An implementation must return the
+	// same value its miner computes for the tidset b.
+	TailFn func(b *bitset.Bitset) float64
 	// Sampler, when non-nil, is the Karp–Luby working state KarpLuby uses
 	// instead of the System's own.
 	Sampler *Sampler
@@ -90,11 +91,10 @@ func (s *System) eventProb(b *bitset.Bitset) float64 {
 	if absent == 0 {
 		return 0
 	}
-	probs := s.probsOf(b)
 	if s.TailFn != nil {
-		return absent * s.TailFn(b, probs)
+		return absent * s.TailFn(b)
 	}
-	return absent * poibin.Tail(probs, s.MinSup)
+	return absent * poibin.Tail(s.probsOf(b), s.MinSup)
 }
 
 // probsOf collects b's probabilities into a scratch buffer valid until the

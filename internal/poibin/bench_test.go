@@ -117,6 +117,34 @@ func BenchmarkTailDenseN418K162(b *testing.B) {
 	}
 }
 
+// The stripped twins are the same tails as the miner computes them: each
+// vector without its certain tuples, at the threshold less its certain
+// count.
+
+func BenchmarkTailSparseStripped(b *testing.B) {
+	benchStripped(b, gaussianProbs(344, 0.8, 0.1), 240)
+}
+
+func BenchmarkTailDenseStripped(b *testing.B) {
+	benchStripped(b, gaussianProbs(418, 0.5, 0.5), 162)
+}
+
+func benchStripped(b *testing.B, vs [64][]float64, k int) {
+	var us [64][]float64
+	var ks [64]int
+	for j, v := range vs {
+		u, c := stripCertain(v)
+		us[j], ks[j] = u, k-c
+	}
+	var s Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(us)
+		tailSink = s.Tail(us[j], ks[j])
+	}
+}
+
 func BenchmarkShardLeafPMFN104K162(b *testing.B) {
 	vs := gaussianProbs(104, 0.5, 0.5)
 	var s Scratch

@@ -47,8 +47,14 @@ type cacheEntry struct {
 // sampled world draws its tuples (DESIGN §3.5), for the same reason. A
 // candidate X has at most one clause per item outside X, and X is never
 // empty, so a dataset of at most MaxExactClauses+1 items resolves every
-// union exactly unless MaxExactClauses < 0 forces sampling. canon must be
-// the canonical options, so MaxExactClauses has its default.
+// union exactly unless MaxExactClauses < 0 forces sampling. Unsharded mines
+// of a dataset with at least one certain (p = 1) tuple append " cert=1":
+// their exact tails run over the uncertain tuples at MinSup less the
+// certain count (DESIGN §3.1, §9.3), which differs from the full DP in the
+// low bits. Sharded mines still fold every tuple, and a dataset without
+// certain tuples gives the same bits either way, so their keys stay as
+// they were. The count is taken at registration (Dataset.Stats). canon
+// must be the canonical options, so MaxExactClauses has its default.
 func cacheKey(ds *Dataset, canon core.Options, optionsKey string) string {
 	key := ds.ID + "\n" + optionsKey
 	if canon.Shards >= 2 || ds.DB().N() >= poibin.ConvCrossoverN {
@@ -56,6 +62,9 @@ func cacheKey(ds *Dataset, canon core.Options, optionsKey string) string {
 	}
 	if canon.MaxExactClauses < 0 || ds.Stats.NumItems > canon.MaxExactClauses+1 {
 		key += " kl=2"
+	}
+	if canon.Shards < 2 && ds.Stats.CertainTuples > 0 {
+		key += " cert=1"
 	}
 	return key
 }

@@ -132,6 +132,11 @@ type Index struct {
 	Tidsets  map[itemset.Item]*bitset.Bitset
 	ItemPos  map[itemset.Item]int // position of each item in Items
 	AllTrans *bitset.Bitset       // tidset of the empty itemset (all tids)
+	// Certain holds the tids whose probability is exactly 1, always in the
+	// dense form. A certain tuple's generating-function factor is z, a
+	// shift of the support distribution, so the miner counts these tuples
+	// by popcount instead of gathering their probabilities.
+	Certain *bitset.Bitset
 }
 
 // Index returns the vertical index, building it on first use. The index is
@@ -190,6 +195,12 @@ func (db *DB) buildIndex() *Index {
 	}
 	idx.AllTrans = bitset.New(n)
 	idx.AllTrans.SetAll()
+	idx.Certain = bitset.New(n)
+	for tid, t := range db.trans {
+		if t.Prob == 1 {
+			idx.Certain.Set(tid)
+		}
+	}
 	return idx
 }
 
@@ -227,6 +238,7 @@ type Stats struct {
 	AvgLength       float64
 	MaxLength       int
 	MeanProb        float64
+	CertainTuples   int // tuples with probability exactly 1
 }
 
 // Stats computes dataset characteristics.
@@ -241,6 +253,9 @@ func (db *DB) Stats() Stats {
 			s.MaxLength = l
 		}
 		totalProb += t.Prob
+		if t.Prob == 1 {
+			s.CertainTuples++
+		}
 	}
 	if len(db.trans) > 0 {
 		s.AvgLength = float64(totalLen) / float64(len(db.trans))
