@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"github.com/probdata/pfcim/internal/bitset"
 	"github.com/probdata/pfcim/internal/gen"
 	"github.com/probdata/pfcim/internal/itemset"
 	"github.com/probdata/pfcim/internal/uncertain"
@@ -74,6 +75,46 @@ func BenchmarkEstimatorKarpLubyPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Mine(db, o); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildClauses times the extension-event construction of
+// Definition 4.1 alone, at the benchmark's Mushroom shape (812 rows, 99
+// items, clamped Gaussian probabilities, min_sup 20%): one op builds the
+// clauses of every frequent 1- and 2-itemset with no extension records,
+// so every item outside X goes through the count and absence screens.
+// After the first op every surviving clause's tail is a memo hit.
+func BenchmarkBuildClauses(b *testing.B) {
+	db := gen.AssignGaussian(gen.MushroomLike(0.1, 1), 0.5, 0.5, 3)
+	opts, err := Options{MinSup: AbsoluteMinSup(db.N(), 0.2), PFCT: 0.8}.normalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := newMiner(nil, db, opts)
+	type node struct {
+		x    itemset.Itemset
+		tids *bitset.Bitset
+	}
+	var nodes []node
+	for i, e := range m.allItems {
+		nodes = append(nodes, node{itemset.Itemset{e}, m.allTids[i]})
+		for j := i + 1; j < len(m.allItems); j++ {
+			if t := bitset.And(m.allTids[i], m.allTids[j]); t.Count() >= opts.MinSup {
+				nodes = append(nodes, node{itemset.Itemset{e, m.allItems[j]}, t})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range nodes {
+			clauses, _, _ := m.buildClauses(n.x, n.tids, n.tids.Count(), nil)
+			for _, c := range clauses {
+				if c.owned {
+					m.putBuf(c.b)
+				}
+			}
 		}
 	}
 }

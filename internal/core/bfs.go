@@ -49,9 +49,9 @@ func (m *miner) mineBFS() error {
 			m.stats.NodesVisited++
 			depth := len(node.items)
 			// Level-wise nodes have no inline children, so the node's self
-			// time is simply everything outside evaluate (which records the
-			// checking-cascade spans itself).
-			nodeStart := m.rec.Now()
+			// time is everything evaluate's checking-cascade spans leave
+			// unclaimed.
+			nodeStart, claimed := m.rec.Now(), m.rec.Claimed()
 			exts := m.extBuf(depth)
 			// Sibling intersections run through the batched column-sweep
 			// kernel, chunked exactly like the DFS extension loop. BFS has
@@ -98,11 +98,10 @@ func (m *miner) mineBFS() error {
 				}
 				exts = append(exts, rec)
 			}
-			selfNS := m.rec.Now() - nodeStart
 			ri, accepted, err := m.evaluate(node.items, node.tids, node.cnt, node.prF, exts, m.opts.PFCT)
 			if err != nil {
 				m.releaseExts(depth, exts)
-				m.rec.Node(depth, nodeStart, selfNS)
+				m.rec.Node(depth, nodeStart, m.rec.Unclaimed(nodeStart, claimed))
 				return err
 			}
 			if accepted {
@@ -124,7 +123,7 @@ func (m *miner) mineBFS() error {
 			}
 			m.releaseExts(depth, exts)
 			m.putBuf(node.tids)
-			m.rec.Node(depth, nodeStart, selfNS)
+			m.rec.Node(depth, nodeStart, m.rec.Unclaimed(nodeStart, claimed))
 		}
 		level = next
 	}

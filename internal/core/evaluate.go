@@ -10,6 +10,7 @@ import (
 	"github.com/probdata/pfcim/internal/itemset"
 	"github.com/probdata/pfcim/internal/obs"
 	"github.com/probdata/pfcim/internal/poibin"
+	"github.com/probdata/pfcim/internal/shard"
 )
 
 // clause is one extension event C_i, prepared for the union machinery.
@@ -325,176 +326,165 @@ func (m *miner) decideByBounds(ri *ResultItem, unionLower, unionUpper, pfct floa
 	return accepted, true
 }
 
-// clauseChunk is how many uncovered items are intersected per AndBatch
-// call inside buildClauses. Lazy chunking bounds the intersections wasted
-// when an early item proves the candidate dead.
-const clauseChunk = 32
-
 // buildClauses computes the extension events of Definition 4.1 for every
 // item not in X. It returns the clauses with non-negligible probability,
 // the total probability mass of dropped clauses (slack), and dead = true
 // when some extension provably always co-occurs with X (count equality), in
 // which case Pr_FC(X) = 0.
 //
-// exts, when non-nil, are the enumeration loop's extension records in
-// ascending item order; items covered by a record reuse its intersected
-// tidset and (when present) its exact frequent probability, so only items
-// the enumeration never probed — candidate positions below startPos and
-// non-candidate items — pay for an intersection and a Poisson-binomial
-// tail here.
+// One positional walk over allItems merges x and exts, the enumeration
+// loop's extension records in ascending item order; items covered by a
+// record reuse its count, intersected tidset and (when present) exact
+// frequent probability. Every other item is decided by word-level work
+// before anything is built: |tids ∧ tids(e)| settles the dead and the
+// below-MinSup verdicts, and the absence screen reads tids \ tids(e) off
+// the two tidsets. Only a clause that survives both takes an arena set for
+// its intersection and pays for a Poisson-binomial tail.
 func (m *miner) buildClauses(x itemset.Itemset, tids *bitset.Bitset, count int, exts []extension) (clauses []clause, slack float64, dead bool) {
 	// The clause records live in a per-miner scratch slice; the cascade is
 	// never reentered on one miner, and owned profiles, which outlive the
 	// next evaluation, clone what they retain.
 	clauses = m.clausesBuf[:0]
-
-	// Collect the items with no extension record up front, so their
-	// intersections can run through the batched sibling kernel; the main
-	// loop below still examines every item in ascending order, consuming
-	// batch results as it reaches them.
-	uncov := m.uncovBuf[:0]
-	j := 0
-	for _, e := range m.allItems {
+	j, k := 0, 0
+	for i, e := range m.allItems {
+		for k < len(x) && x[k] < e {
+			k++
+		}
+		if k < len(x) && x[k] == e {
+			continue
+		}
 		for j < len(exts) && exts[j].item < e {
 			j++
 		}
+		var rec *extension
+		cnt := 0
 		if j < len(exts) && exts[j].item == e {
-			j++
+			rec, cnt = &exts[j], exts[j].cnt
+		} else {
+			cnt = bitset.AndCount(tids, m.allTids[i])
+		}
+		if cnt == count {
+			// tids(X) ⊆ tids(e): X and X+e always appear together. Release
+			// everything collected so far; the caller sees dead = true.
+			for _, c := range clauses {
+				if c.owned {
+					m.putBuf(c.b)
+				}
+			}
+			m.clausesBuf = clauses[:0]
+			return nil, 0, true
+		}
+		if cnt < m.opts.MinSup {
+			// Pr_F(X+e) = 0, hence Pr(C_e) = 0.
 			continue
 		}
-		if !x.Contains(e) {
-			uncov = append(uncov, e)
+		absent, negligible := m.absentFactor(tids, m.allTids[i])
+		if negligible {
+			slack += zeroClauseEps // conservative cap on the dropped mass
+			continue
 		}
-	}
-	m.uncovBuf = uncov
-	dsts, srcs, ucounts := m.uncovBufs(len(uncov))
-	ui, batched := 0, 0
-
-	release := func() {
-		for _, c := range clauses {
+		c := clause{item: e}
+		switch {
+		case rec == nil:
+			c.b, c.owned = m.getBuf(), true
+			bitset.AndInto(c.b, tids, m.allTids[i])
+			c.prob = m.tailOf(c.b, nil, x, e)
+		case rec.hasPrF:
+			c.b, c.prob = rec.tids, rec.prF
+		default:
+			// The extension was Chernoff-Hoeffding-pruned, so its exact
+			// tail was never computed; pay for it now.
+			c.b, c.prob = rec.tids, m.tailOf(rec.tids, nil, x, e)
+		}
+		c.prob *= absent
+		m.stats.ClauseEvaluated++
+		if c.prob < zeroClauseEps {
+			slack += c.prob
 			if c.owned {
 				m.putBuf(c.b)
 			}
-		}
-		for i := ui; i < batched; i++ {
-			m.putBuf(dsts[i])
-		}
-		m.clausesBuf = clauses[:0]
-	}
-	j = 0
-	for _, e := range m.allItems {
-		for j < len(exts) && exts[j].item < e {
-			j++
-		}
-		if j < len(exts) && exts[j].item == e {
-			rec := &exts[j]
-			j++
-			if rec.cnt == count {
-				// tids(X) ⊆ tids(e): X and X+e always appear together.
-				release()
-				return nil, 0, true
-			}
-			if rec.cnt < m.opts.MinSup {
-				// Pr_F(X+e) = 0, hence Pr(C_e) = 0.
-				continue
-			}
-			absent, negligible := m.absentFactor(tids, rec.tids)
-			if negligible {
-				slack += zeroClauseEps // conservative cap on the dropped mass
-				continue
-			}
-			p := rec.prF
-			if !rec.hasPrF {
-				// The extension was Chernoff-Hoeffding-pruned, so its exact
-				// tail was never computed; pay for it now.
-				p = m.tailOf(rec.tids, nil, x, e)
-			}
-			p *= absent
-			m.stats.ClauseEvaluated++
-			if p < zeroClauseEps {
-				slack += p
-				continue
-			}
-			clauses = append(clauses, clause{item: e, b: rec.tids, prob: p})
 			continue
 		}
-		if x.Contains(e) {
-			continue
-		}
-		if ui >= batched {
-			hi := batched + clauseChunk
-			if hi > len(uncov) {
-				hi = len(uncov)
-			}
-			for i := batched; i < hi; i++ {
-				srcs[i] = m.itemTids[uncov[i]]
-				dsts[i] = m.getBuf()
-			}
-			bitset.AndBatch(dsts[batched:hi], ucounts[batched:hi], tids, srcs[batched:hi])
-			batched = hi
-		}
-		b, bc := dsts[ui], ucounts[ui]
-		ui++
-		if bc == count {
-			// tids(X) ⊆ tids(e): X and X+e always appear together. Release
-			// everything collected so far; the caller sees dead = true.
-			m.putBuf(b)
-			release()
-			return nil, 0, true
-		}
-		if bc < m.opts.MinSup {
-			// Pr_F(X+e) = 0, hence Pr(C_e) = 0.
-			m.putBuf(b)
-			continue
-		}
-		absent, negligible := m.absentFactor(tids, b)
-		if negligible {
-			slack += zeroClauseEps // conservative cap on the dropped mass
-			m.putBuf(b)
-			continue
-		}
-		p := absent * m.tailOf(b, nil, x, e)
-		m.stats.ClauseEvaluated++
-		if p < zeroClauseEps {
-			slack += p
-			m.putBuf(b)
-			continue
-		}
-		clauses = append(clauses, clause{item: e, b: b, prob: p, owned: true})
+		clauses = append(clauses, c)
 	}
 	m.clausesBuf = clauses
 	return clauses, slack, false
 }
 
-// uncovBufs returns the uncovered-item batch buffers with room for nc
-// intersections.
-func (m *miner) uncovBufs(nc int) (dsts, srcs []*bitset.Bitset, counts []int) {
-	if cap(m.ubDsts) < nc {
-		m.ubDsts = make([]*bitset.Bitset, nc)
-		m.ubSrcs = make([]*bitset.Bitset, nc)
-		m.ubCounts = make([]int, nc)
+// absentFactor returns Pr(C_e)'s tuple-absence product Π_{T ∈ tids\e}(1−p_T),
+// flagging it as negligible once it falls below zeroClauseEps (the clause
+// is then dropped and accounted as slack). e is the item's own tidset:
+// tids \ tids(e) is the same set as tids \ tids(X+e).
+//
+// Every factor lies in [0, 1], so the product can only fall, and a certain
+// tuple (p = 1) in the difference makes it exactly 0. One masked pass over
+// the dense words finds such a tuple first and reports the product
+// negligible; that verdict is exact, and a negligible product's value is
+// never read. Otherwise the product runs over the difference in ascending
+// tid order. Sharded runs fold it per shard range (DESIGN §14): within a
+// range the partial accumulates, and each completed partial folds into the
+// running product. An unsharded run is the one-range fold, whose product
+// is the partial itself.
+func (m *miner) absentFactor(tids, e *bitset.Bitset) (absent float64, negligible bool) {
+	tw, ew := tids.DenseWords(), e.DenseWords()
+	dense := tw != nil && ew != nil
+	if dense && m.certainAll != nil {
+		for wi, w := range tw {
+			if w&^ew[wi]&m.certainAll[wi] != 0 {
+				return 0, true
+			}
+		}
 	}
-	return m.ubDsts[:nc], m.ubSrcs[:nc], m.ubCounts[:nc]
+	f := absentFold{l: shard.Layout{N: 1, Total: m.db.N()}, probs: m.probs, absent: 1, part: 1}
+	if m.sharded() {
+		f.l = m.shardLayout()
+	}
+	f.hi = f.l.End(0)
+	if !dense {
+		bitset.ForEachDiff(tids, e, f.add)
+		return f.result()
+	}
+	for wi, w := range tw {
+		for w &^= ew[wi]; w != 0; w &= w - 1 {
+			if !f.add(wi*64 + bits.TrailingZeros64(w)) {
+				return f.result()
+			}
+		}
+	}
+	return f.result()
 }
 
-// absentFactor returns Pr(C_e)'s tuple-absence product
-// Π_{T ∈ tids\b}(1−p_T), flagging it as negligible once it falls below
-// zeroClauseEps (the clause is then dropped and accounted as slack).
-// Sharded runs fold the product per shard instead (shard.go).
-func (m *miner) absentFactor(tids, b *bitset.Bitset) (absent float64, negligible bool) {
-	if m.sharded() {
-		return m.shardAbsentFactor(tids, b)
-	}
-	absent = 1.0
-	bitset.ForEachDiff(tids, b, func(tid int) bool {
-		absent *= 1 - m.probs[tid]
-		if absent < zeroClauseEps {
-			negligible = true
+// absentFold is an absence product in progress: the running product over
+// the completed shard ranges, the partial of range s, which ends at tid hi.
+type absentFold struct {
+	l      shard.Layout
+	probs  []float64
+	s, hi  int
+	absent float64
+	part   float64
+}
+
+// add multiplies tid's absence factor in, folding the partials of the
+// ranges it passes, and reports whether the product can still reach
+// zeroClauseEps. Tids arrive in ascending order.
+func (f *absentFold) add(tid int) bool {
+	for tid >= f.hi {
+		f.absent *= f.part
+		f.part = 1
+		if f.absent < zeroClauseEps {
 			return false
 		}
-		return true
-	})
-	return absent, negligible
+		f.s++
+		f.hi = f.l.End(f.s)
+	}
+	f.part *= 1 - f.probs[tid]
+	return f.part >= zeroClauseEps
+}
+
+// result folds the last partial in.
+func (f *absentFold) result() (absent float64, negligible bool) {
+	absent = f.absent * f.part
+	return absent, absent < zeroClauseEps
 }
 
 // clauseSystem wraps the kept clauses in the miner's reusable dnf.System

@@ -20,18 +20,20 @@ type miner struct {
 	db       *uncertain.DB
 	probs    []float64 // tuple existence probabilities by tid
 	allItems itemset.Itemset
-	itemTids map[itemset.Item]*bitset.Bitset
-	cands    []candidate // probabilistic frequent single-item candidates
+	allTids  []*bitset.Bitset // allTids[i] is the tidset of allItems[i]
+	cands    []candidate      // probabilistic frequent single-item candidates
 	stats    Stats
 	results  []ResultItem
 	ctx      context.Context
 	worker   *worker // non-nil when mining inside the work-stealing pool
 
-	// certain holds the words of the index's certain-tuple (p = 1) mask,
-	// which probsOf counts instead of gathering; nil when the database has
-	// no certain tuple, and on sharded runs, whose folds gather every
-	// tuple (shard.go).
-	certain []uint64
+	// certainAll holds the words of the index's certain-tuple (p = 1)
+	// mask, nil when the database has no certain tuple; absentFactor's
+	// screen reads it. certain is the same mask for probsOf, which counts
+	// those tuples instead of gathering them; it is nil on sharded runs
+	// too, whose folds gather every tuple (shard.go).
+	certainAll []uint64
+	certain    []uint64
 
 	// reuse, when non-nil, is the subtree-reuse cache of an incremental run
 	// (MineIncremental): probFC dispatches through the splice/record wrapper
@@ -72,17 +74,13 @@ type miner struct {
 	shardParts [][]float64
 
 	// Checking-cascade scratch (see evaluate.go): the profile of the node
-	// under evaluation, its clause records, the sorter view over them, the
-	// uncovered-item worklist with its batch buffers, and the reusable
-	// clause systems. The cascade is never reentered on one miner, so a
-	// single set suffices; owned profiles clone what they retain.
+	// under evaluation, its clause records, the sorter view over them, and
+	// the reusable clause systems. The cascade is never reentered on one
+	// miner, so a single set suffices; owned profiles clone what they
+	// retain.
 	evalBuf    evalProfile
 	clausesBuf []clause
 	clauseSort clauseSorter
-	uncovBuf   []itemset.Item
-	ubDsts     []*bitset.Bitset
-	ubSrcs     []*bitset.Bitset
-	ubCounts   []int
 	sysBs      []*bitset.Bitset
 	sysProbs   []float64
 	sysBuf     dnf.System
@@ -341,8 +339,9 @@ func mineWithReuse(ctx context.Context, db *uncertain.DB, opts Options, reuse *R
 	start := opts.Tracer.Now()
 	m := newMiner(ctx, db, opts)
 	m.reuse = reuse
-	m.buildCandidates()
+	m.buildCandidates(start)
 
+	rootStart, claimed := m.rec.Now(), m.rec.Claimed()
 	switch opts.Search {
 	case BFS:
 		err = m.mineBFS()
@@ -352,7 +351,7 @@ func mineWithReuse(ctx context.Context, db *uncertain.DB, opts Options, reuse *R
 	if err != nil {
 		return nil, nil, err
 	}
-	return m.result(start), m, nil
+	return m.result(start, rootStart, claimed), m, nil
 }
 
 // newMiner is the constructor of every top-level miner — Mine, top-k, the
@@ -363,52 +362,67 @@ func mineWithReuse(ctx context.Context, db *uncertain.DB, opts Options, reuse *R
 // sub-miners copy their parent instead (scheduler.go).
 func newMiner(ctx context.Context, db *uncertain.DB, opts Options) *miner {
 	idx := db.Index()
-	itemTids := tidsetsFor(idx, opts.Tidsets)
-	var certain []uint64
-	if opts.Shards < 2 && idx.Certain.Count() > 0 {
-		certain = idx.Certain.DenseWords()
+	m := &miner{
+		opts:  opts,
+		db:    db,
+		probs: db.Probs(),
+		ctx:   ctx,
+		rec:   opts.Tracer.Recorder(0),
 	}
-	return &miner{
-		opts:     opts,
-		db:       db,
-		probs:    db.Probs(),
-		certain:  certain,
-		allItems: supportedItems(idx.Items, itemTids, opts.MinSup),
-		itemTids: itemTids,
-		ctx:      ctx,
-		rec:      opts.Tracer.Recorder(0),
+	m.allItems, m.allTids = supportedItems(idx, opts.Tidsets, opts.MinSup)
+	if idx.Certain.Count() > 0 {
+		m.certainAll = idx.Certain.DenseWords()
+		if !m.sharded() {
+			m.certain = m.certainAll
+		}
 	}
+	return m
 }
 
 // supportedItems returns the items whose tidsets hold at least minSup
-// transactions, in order. No other item can be a candidate or give any
-// itemset a clause of nonzero probability (an extension's support is at
-// most the item's own), so the miner never looks at them. items itself is
-// returned when every item qualifies.
-func supportedItems(items itemset.Itemset, tids map[itemset.Item]*bitset.Bitset, minSup int) itemset.Itemset {
-	for i, e := range items {
-		if tids[e].Count() >= minSup {
+// transactions, in order, with their tidsets at the same positions. No
+// other item can be a candidate or give any itemset a clause of nonzero
+// probability (an extension's support is at most the item's own), so the
+// miner never looks at them. The tidsets are the index's own
+// density-chosen representations (TidsetsAuto), or per-run copies forced
+// dense or compressed. Forcing never changes results — the hybrid bitset
+// contract makes every operation representation-independent — it exists
+// for the crosscheck equivalence suite and for memory experiments.
+func supportedItems(idx *uncertain.Index, mode TidsetMode, minSup int) (itemset.Itemset, []*bitset.Bitset) {
+	items := make(itemset.Itemset, 0, len(idx.Items))
+	tids := make([]*bitset.Bitset, 0, len(idx.Items))
+	for _, e := range idx.Items {
+		b := idx.Tidsets[e]
+		if b.Count() < minSup {
 			continue
 		}
-		kept := append(itemset.Itemset(nil), items[:i]...)
-		for _, e := range items[i+1:] {
-			if tids[e].Count() >= minSup {
-				kept = append(kept, e)
-			}
+		switch mode {
+		case TidsetsDense:
+			b = b.Materialized()
+		case TidsetsCompressed:
+			b = b.Compacted()
 		}
-		return kept
+		items = append(items, e)
+		tids = append(tids, b)
 	}
-	return items
+	return items, tids
 }
 
 // result packages the run's itemsets, sorted lexicographically, with its
 // Stats, its options and — when traced — the tracer's phase profile, with
 // the wall time since start (a Tracer.Now reading, so wall time and phase
-// spans share one clock) accounted as one mining run.
-func (m *miner) result(start int64) *Result {
+// spans share one clock) accounted as one mining run. Unless the pool ran
+// the enumeration, the enumeration tree's root — the empty itemset, depth
+// 0 — is recorded as an expand node opened at (rootStart, claimed): its
+// self time is the enumeration driver's own loop and this sort. (A pooled
+// run's coordinator only waits meanwhile; its workers record the nodes.)
+func (m *miner) result(start, rootStart, claimed int64) *Result {
 	sort.Slice(m.results, func(i, j int) bool {
 		return itemset.Compare(m.results[i].Items, m.results[j].Items) < 0
 	})
+	if !m.pooled() {
+		m.rec.Node(0, rootStart, m.rec.Unclaimed(rootStart, claimed))
+	}
 	res := &Result{Itemsets: m.results, Stats: m.stats, Options: m.opts}
 	if tr := m.opts.Tracer; tr != nil {
 		tr.AddMineWall(tr.Now() - start)
@@ -417,34 +431,15 @@ func (m *miner) result(start int64) *Result {
 	return res
 }
 
-// tidsetsFor returns the per-item tidsets the run should mine on:
-// the index's own density-chosen representations (TidsetsAuto), or a
-// per-run copy with every tidset forced dense or compressed. Forcing never
-// changes results — the hybrid bitset contract makes every operation
-// representation-independent — it exists for the crosscheck equivalence
-// suite and for memory experiments.
-func tidsetsFor(idx *uncertain.Index, mode TidsetMode) map[itemset.Item]*bitset.Bitset {
-	if mode == TidsetsAuto {
-		return idx.Tidsets
-	}
-	out := make(map[itemset.Item]*bitset.Bitset, len(idx.Tidsets))
-	for it, b := range idx.Tidsets {
-		if mode == TidsetsCompressed {
-			out[it] = b.Compacted()
-		} else {
-			out[it] = b.Materialized()
-		}
-	}
-	return out
-}
-
 // buildCandidates is the first phase of Fig. 1: construct the single-item
 // candidate set with Chernoff-Hoeffding pruning (Lemma 4.1) and the exact
 // frequent-probability test. Items whose frequent probability cannot exceed
 // pfct cannot occur in any probabilistic frequent closed itemset because
-// Pr_F is anti-monotone and Pr_FC(X) ≤ Pr_F(X).
-func (m *miner) buildCandidates() {
-	defer m.rec.Span(obs.PhaseCandidates, 0, m.rec.Now())
+// Pr_F is anti-monotone and Pr_FC(X) ≤ Pr_F(X). The candidate span runs
+// from start, the run's first clock reading, so it also covers the run's
+// setup (newMiner).
+func (m *miner) buildCandidates(start int64) {
+	defer m.rec.Span(obs.PhaseCandidates, 0, start)
 	// Incremental rounds replay the recorded decision for items no changed
 	// transaction contains: their tidsets hold the same transactions in the
 	// same arrival order, so count, bound, exact tail, and the keep/prune
@@ -462,7 +457,7 @@ func (m *miner) buildCandidates() {
 	}
 	planned := 0
 	for j, e := range m.allItems {
-		tids := m.itemTids[e]
+		tids := m.allTids[j]
 		if m.reuse != nil {
 			if ce, ok := m.reuse.candidateReuse(e, scratch); ok {
 				switch ce.outcome {
@@ -551,7 +546,7 @@ func (m *miner) trace(format string, args ...interface{}) {
 
 // mineDFS drives the ProbFC recursion of Fig. 3 from the root.
 func (m *miner) mineDFS() error {
-	if m.opts.Parallelism > 1 && m.opts.Trace == nil && m.reuse == nil {
+	if m.pooled() {
 		return m.mineDFSParallel()
 	}
 	for pos := 0; pos < len(m.cands); pos++ {
@@ -596,11 +591,11 @@ func (m *miner) probFCNode(x itemset.Itemset, tids *bitset.Bitset, count int, pr
 
 	// Span bookkeeping (no-ops when untraced): the detailed span covers the
 	// whole subtree [nodeStart, record time], while the expand-phase
-	// aggregate receives only this node's self time — wall time net of
-	// inline child recursion (childNS) and of the checking cascade, which
-	// records its own spans inside evaluate — so phase totals stay additive.
-	nodeStart := m.rec.Now()
-	var childNS int64
+	// aggregate receives only this node's self time — the part of that
+	// interval no inline child and no checking-cascade span (recorded
+	// inside evaluate) claimed — so phase totals stay additive and leave
+	// no gap.
+	nodeStart, claimed := m.rec.Now(), m.rec.Claimed()
 
 	// Superset pruning (Lemma 4.2): if some item e smaller than the last
 	// item of X (so X is not a prefix of X+e) and not in X satisfies
@@ -610,12 +605,16 @@ func (m *miner) probFCNode(x itemset.Itemset, tids *bitset.Bitset, count int, pr
 	// tids ⊆ tids(e), so the word loop bails out at the first uncovered
 	// word instead of finishing a full popcount.
 	if !m.opts.DisableSuperset {
-		last := x.Last()
+		last, k := x.Last(), 0
 		for _, c := range m.cands {
 			if c.item >= last {
 				break
 			}
-			if x.Contains(c.item) {
+			// x is sorted and ends above c.item, so the walk stays in x.
+			for x[k] < c.item {
+				k++
+			}
+			if x[k] == c.item {
 				continue
 			}
 			if bitset.IsSubset(tids, c.tids) {
@@ -623,7 +622,7 @@ func (m *miner) probFCNode(x itemset.Itemset, tids *bitset.Bitset, count int, pr
 				if m.opts.Trace != nil {
 					m.trace("  superset-prune %v: count(%v+%v) = count — subtree dead (Lemma 4.2)", x, x, itemset.Itemset{c.item})
 				}
-				m.rec.Node(len(x), nodeStart, m.rec.Now()-nodeStart)
+				m.rec.Node(len(x), nodeStart, m.rec.Unclaimed(nodeStart, claimed))
 				return nil
 			}
 		}
@@ -716,14 +715,10 @@ func (m *miner) probFCNode(x itemset.Itemset, tids *bitset.Bitset, count int, pr
 			// either. Only the X+e subtree can contain closed itemsets.
 			selfDead = true
 			m.stats.SubsetPruned++
-			t := m.rec.Now()
 			err = m.descend(x, c.item, buf, cc, childPrF, pos+1)
-			childNS += m.rec.Now() - t
 			break
 		}
-		t := m.rec.Now()
 		err = m.descend(x, c.item, buf, cc, childPrF, pos+1)
-		childNS += m.rec.Now() - t
 		if err != nil {
 			break
 		}
@@ -740,13 +735,12 @@ func (m *miner) probFCNode(x itemset.Itemset, tids *bitset.Bitset, count int, pr
 
 	if err != nil || selfDead {
 		m.releaseExts(depth, exts)
-		m.rec.Node(depth, nodeStart, m.rec.Now()-nodeStart-childNS)
+		m.rec.Node(depth, nodeStart, m.rec.Unclaimed(nodeStart, claimed))
 		return err
 	}
-	selfNS := m.rec.Now() - nodeStart - childNS
 	ri, accepted, err := m.evaluate(x, tids, count, prF, exts, m.opts.PFCT)
 	m.releaseExts(depth, exts)
-	m.rec.Node(depth, nodeStart, selfNS)
+	m.rec.Node(depth, nodeStart, m.rec.Unclaimed(nodeStart, claimed))
 	if err != nil {
 		return err
 	}
@@ -758,6 +752,12 @@ func (m *miner) probFCNode(x itemset.Itemset, tids *bitset.Bitset, count int, pr
 		m.accept(ri)
 	}
 	return nil
+}
+
+// pooled reports whether the run's enumeration goes to the work-stealing
+// pool: a parallel DFS with no enumeration log and no reuse cache.
+func (m *miner) pooled() bool {
+	return m.opts.Search == DFS && m.opts.Parallelism > 1 && m.opts.Trace == nil && m.reuse == nil
 }
 
 // descend recurses into the child X+e — inline in the common case, or as a

@@ -23,9 +23,9 @@ func NaiveMine(db *uncertain.DB, opts Options) (*Result, error) {
 
 	start := opts.Tracer.Now()
 	m := newMiner(nil, db, opts)
-	candStart := m.rec.Now()
 	pfis := pfim.Mine(db, pfim.Options{MinSup: opts.MinSup, PFT: opts.PFCT})
-	m.rec.Span(obs.PhaseCandidates, 0, candStart)
+	m.rec.Span(obs.PhaseCandidates, 0, start)
+	rootStart, claimed := m.rec.Now(), m.rec.Claimed()
 
 	idx := db.Index()
 	for _, pfi := range pfis {
@@ -39,5 +39,5 @@ func NaiveMine(db *uncertain.DB, opts Options) (*Result, error) {
 			m.results = append(m.results, ri)
 		}
 	}
-	return m.result(start), nil
+	return m.result(start, rootStart, claimed), nil
 }

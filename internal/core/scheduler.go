@@ -224,14 +224,15 @@ func (m *miner) mineDFSParallel() error {
 	s := newScheduler(m.opts.Parallelism)
 	for i, w := range s.workers {
 		sub := &miner{
-			opts:     m.opts,
-			db:       m.db,
-			probs:    m.probs,
-			certain:  m.certain,
-			allItems: m.allItems,
-			itemTids: m.itemTids,
-			cands:    m.cands,
-			ctx:      m.ctx,
+			opts:       m.opts,
+			db:         m.db,
+			probs:      m.probs,
+			certainAll: m.certainAll,
+			certain:    m.certain,
+			allItems:   m.allItems,
+			allTids:    m.allTids,
+			cands:      m.cands,
+			ctx:        m.ctx,
 			// Pool worker i records as tracer worker i+1; recorder 0 stays
 			// with the coordinating miner (candidate phase). Per-worker
 			// recorders are single-writer, so tracing composes with

@@ -139,7 +139,7 @@ func (m *miner) planCandidates(kern ShardKernel, plans []tailPlan, from int) int
 	j := from
 	for ; j < len(m.allItems) && len(m.batch.qs) < batchChunk; j++ {
 		e := m.allItems[j]
-		if tids := m.itemTids[e]; tids.Count() >= m.opts.MinSup {
+		if tids := m.allTids[j]; tids.Count() >= m.opts.MinSup {
 			m.planTail(plans, j, tids, shard.Query{Ext: e})
 		}
 	}
@@ -191,40 +191,4 @@ func (m *miner) shardTailLocal(b *bitset.Bitset, g *gather) float64 {
 		parts[i] = nil
 	}
 	return t
-}
-
-// shardAbsentFactor computes the clause absence product Π (1−p_T) over
-// tids\b as per-shard partial products folded in shard order: within a
-// shard the partial accumulates in ascending tid order and the scan stops
-// once the partial drops below shard.NegligibleEps; at each boundary the
-// completed partial folds into the running product, which going negligible
-// ends the fold. Trailing shards with no differing tids contribute an exact
-// 1.0 and are skipped.
-func (m *miner) shardAbsentFactor(tids, b *bitset.Bitset) (absent float64, negligible bool) {
-	l := m.shardLayout()
-	absent = 1.0
-	f := 1.0
-	s, hi := 0, l.End(0)
-	bitset.ForEachDiff(tids, b, func(tid int) bool {
-		for tid >= hi {
-			absent *= f
-			f = 1
-			if absent < shard.NegligibleEps {
-				negligible = true
-				return false
-			}
-			s++
-			hi = l.End(s)
-		}
-		f *= 1 - m.probs[tid]
-		return f >= shard.NegligibleEps
-	})
-	if negligible {
-		return absent, true
-	}
-	absent *= f
-	if absent < shard.NegligibleEps {
-		return absent, true
-	}
-	return absent, false
 }

@@ -45,7 +45,7 @@ func MineTopKContext(ctx context.Context, db *uncertain.DB, minSup, k int, opts 
 	start := opts.Tracer.Now()
 	m := newMiner(ctx, db, opts)
 	m.topK = k
-	m.buildCandidates()
+	m.buildCandidates(start)
 	if err := m.mineDFS(); err != nil {
 		return nil, err
 	}

@@ -15,10 +15,11 @@
 //     check per call site — no interface dispatch, no allocation.
 //   - The enabled path must be cheap and allocation-free in steady state.
 //     Each worker owns a private Recorder (single writer, no locks) with a
-//     preallocated span ring; when the ring fills, the oldest detailed
-//     spans are overwritten but the aggregate profile keeps counting, so a
-//     long run degrades to "recent window + exact totals" rather than
-//     growing without bound.
+//     span ring that grows on demand up to its capacity, so a short run
+//     does not pay for a full ring up front; once the ring is full, the
+//     oldest detailed spans are overwritten but the aggregate profile
+//     keeps counting, so a long run degrades to "recent window + exact
+//     totals" rather than growing without bound.
 package obs
 
 import (
@@ -136,11 +137,7 @@ func (t *Tracer) Recorder(worker int) *Recorder {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(t.recs) <= worker {
-		r := &Recorder{t: t, worker: int16(len(t.recs))}
-		if t.ringCap > 0 {
-			r.spans = make([]Span, 0, t.ringCap)
-		}
-		t.recs = append(t.recs, r)
+		t.recs = append(t.recs, &Recorder{t: t, worker: int16(len(t.recs))})
 	}
 	return t.recs[worker]
 }
@@ -172,8 +169,10 @@ type Recorder struct {
 	depthNS    []int64 // PhaseExpand self time per enumeration depth
 	depthCount []int64
 
+	claimed int64 // Σ phaseNS: the time attributed so far
+
 	spans   []Span // ring of the most recent detailed spans
-	next    int    // overwrite cursor once len == cap
+	next    int    // overwrite cursor once the ring is full
 	dropped int64  // spans evicted from the ring
 }
 
@@ -196,6 +195,30 @@ func (r *Recorder) Span(p Phase, depth int, start int64) {
 	r.ring(p, depth, start, end-start)
 	r.phaseNS[p] += end - start
 	r.phaseCount[p]++
+	r.claimed += end - start
+}
+
+// Claimed returns the time this recorder has attributed to phases so far,
+// 0 on the nil fast path. Read it together with a region's start time
+// and pass both to Unclaimed when the region ends.
+func (r *Recorder) Claimed() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.claimed
+}
+
+// Unclaimed returns the time since start (a prior Now value) that no span
+// or node recorded since has claimed; claimed is the Claimed value read
+// with start. It is the self time of a region whose parts record their
+// own spans and nodes, and it leaves no gap between them: a node passing
+// it to Node attributes its whole interval, children and checking spans
+// included, exactly once.
+func (r *Recorder) Unclaimed(start, claimed int64) int64 {
+	if r == nil {
+		return 0
+	}
+	return r.t.now() - start - (r.claimed - claimed)
 }
 
 // Node records one enumeration-tree node: the detailed span covers
@@ -211,6 +234,7 @@ func (r *Recorder) Node(depth int, start, selfNS int64) {
 	r.ring(PhaseExpand, depth, start, end-start)
 	r.phaseNS[PhaseExpand] += selfNS
 	r.phaseCount[PhaseExpand]++
+	r.claimed += selfNS
 	for len(r.depthNS) <= depth {
 		r.depthNS = append(r.depthNS, 0)
 		r.depthCount = append(r.depthCount, 0)
@@ -222,11 +246,11 @@ func (r *Recorder) Node(depth int, start, selfNS int64) {
 func (r *Recorder) ring(p Phase, depth int, start, dur int64) {
 	sp := Span{Start: start, Dur: dur, Phase: p, Depth: int16(depth), Worker: r.worker}
 	switch {
-	case len(r.spans) < cap(r.spans):
+	case len(r.spans) < r.t.ringCap:
 		r.spans = append(r.spans, sp)
-	case cap(r.spans) > 0:
+	case len(r.spans) > 0:
 		r.spans[r.next] = sp
-		r.next = (r.next + 1) % cap(r.spans)
+		r.next = (r.next + 1) % len(r.spans)
 		r.dropped++
 	default:
 		r.dropped++

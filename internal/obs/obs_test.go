@@ -336,3 +336,42 @@ func TestWireSpansRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost the span: %+v", cons.Profile().Workers)
 	}
 }
+
+// TestUnclaimedSelfTime: a region's unclaimed time is its interval minus
+// every span and node recorded inside it, so nested self times partition
+// the interval; and a recorder's ring grows with the spans it holds instead
+// of being allocated at full capacity.
+func TestUnclaimedSelfTime(t *testing.T) {
+	var clock int64
+	tr := NewWithClock(defaultRingSpans, func() int64 { return clock })
+	r := tr.Recorder(0)
+
+	outer, outerClaimed := r.Now(), r.Claimed()
+	clock += 100
+	span := r.Now()
+	clock += 300
+	r.Span(PhaseBoundCheck, 1, span)
+	inner, innerClaimed := r.Now(), r.Claimed()
+	clock += 50
+	r.Node(2, inner, r.Unclaimed(inner, innerClaimed))
+	clock += 25
+	self := r.Unclaimed(outer, outerClaimed)
+	r.Node(1, outer, self)
+	if self != 125 {
+		t.Fatalf("outer self time = %d, want 475 − 300 − 50 = 125", self)
+	}
+	p := tr.Profile()
+	if ns := p.PhaseWallNS("expand") + p.PhaseWallNS("bound-check"); ns != clock {
+		t.Fatalf("phases sum to %d, want the whole %d-ns interval", ns, clock)
+	}
+	if got := r.Claimed(); got != clock {
+		t.Fatalf("Claimed() = %d, want %d", got, clock)
+	}
+	if c := cap(r.spans); c >= defaultRingSpans {
+		t.Fatalf("ring holding 3 spans has capacity %d; it should grow on demand", c)
+	}
+	var nilRec *Recorder
+	if nilRec.Claimed() != 0 || nilRec.Unclaimed(5, 1) != 0 {
+		t.Fatal("nil recorder must report zero claimed and unclaimed time")
+	}
+}

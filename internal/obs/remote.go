@@ -58,7 +58,7 @@ func (t *Tracer) WireSpans() SpanBatch {
 
 // ordered returns the ring's retained spans oldest-first.
 func (r *Recorder) ordered() []Span {
-	if len(r.spans) == cap(r.spans) && r.dropped > 0 {
+	if r.dropped > 0 {
 		out := make([]Span, 0, len(r.spans))
 		out = append(out, r.spans[r.next:]...)
 		out = append(out, r.spans[:r.next]...)
@@ -96,9 +96,6 @@ func (t *Tracer) ImportBatch(label string, offsetNS int64, b SpanBatch) {
 			t.remote = map[string]*Recorder{}
 		}
 		r = &Recorder{t: t, label: label}
-		if t.ringCap > 0 {
-			r.spans = make([]Span, 0, t.ringCap)
-		}
 		t.remote[label] = r
 	}
 	for _, sp := range b.Spans {

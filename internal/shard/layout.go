@@ -27,12 +27,6 @@ import (
 	"github.com/probdata/pfcim/internal/uncertain"
 )
 
-// NegligibleEps mirrors core's zeroClauseEps: a clause absence product below
-// this is negligible, the clause is dropped and accounted as slack. The
-// sharded fold early-exits its per-shard scan at the same threshold, which
-// is sound because every further factor is ≤ 1.
-const NegligibleEps = 1e-15
-
 // Layout is the deterministic range partition of a dataset's transaction
 // space: shard i holds tids [i·Total/N, (i+1)·Total/N). It depends only on
 // (N, Total), so every party — coordinator, workers, the in-memory sharded

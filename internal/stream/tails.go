@@ -45,13 +45,6 @@ func (w *Window) TrackTails(minSup int) error {
 	return nil
 }
 
-// UntrackTails switches maintained tails off and releases the PMFs.
-func (w *Window) UntrackTails() {
-	w.tailK = 0
-	w.tails = nil
-	w.tailRebuild = w.tailRebuild[:0]
-}
-
 // TrackedMinSup returns the threshold tails are maintained at, 0 when off.
 func (w *Window) TrackedMinSup() int { return w.tailK }
 
